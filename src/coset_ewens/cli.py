@@ -20,7 +20,6 @@ from . import series as series_mod
 from .cosets import (
     canonical_rep,
     coset_class,
-    cycle_string,
     double_coset_size,
     enumerate_double_cosets,
     intersection_subgroup,
@@ -32,8 +31,7 @@ from .cosets import (
 from .errors import ResourceLimitError
 from .ewens import coset_probability, good_probability_mc
 from .partitions import Partition, enumerate_partitions
-from .perm import cycle_string as perm_cycle_string
-from .perm import parse_permutation
+from .perm import cycle_string, parse_permutation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,6 +58,13 @@ def _threads(args) -> int:
     return int(env) if env else 1
 
 
+def _check_common(args) -> None:
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
+    if args.threads is not None and args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+
+
 def _parse_m_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
@@ -72,7 +77,7 @@ def cmd_classify(args) -> dict:
     lam = partition_of(g, m)
     record = coset_class(lam, m).to_json_dict()
     record["m"] = m
-    record["input_cycles"] = perm_cycle_string(g)
+    record["input_cycles"] = cycle_string(g)
     return record
 
 
@@ -348,6 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         return env
 
     try:
+        _check_common(args)
         payload = args.func(args)
     except VerificationFailure as exc:
         env = envelope("error", error={"code": "verification_failed",

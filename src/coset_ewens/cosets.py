@@ -14,6 +14,7 @@ import itertools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterable
 
 from .errors import ResourceLimitError
@@ -523,8 +524,10 @@ class CosetClass:
     def to_json_dict(self) -> dict:
         return {
             "lambda": str(self.lam),
-            "predicted_order": str(self.predicted_order),
-            "coset_size": str(self.coset_size),
+            # Decimal prints ints of any length; str(int) stops at the
+            # interpreter's digit limit (coset_size has ~5700 digits at m = 1000)
+            "predicted_order": str(Decimal(self.predicted_order)),
+            "coset_size": str(Decimal(self.coset_size)),
             "canonical": cycle_string(self.canonical),
         }
 

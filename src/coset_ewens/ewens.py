@@ -17,7 +17,7 @@ import numpy as np
 from . import rng
 from .cosets import predicted_intersection_order
 from .errors import ResourceLimitError
-from .partitions import Partition, iter_partitions
+from .partitions import Partition
 
 EXACT_TAIL_MAX_M = 60
 
@@ -112,40 +112,56 @@ def f_leq_threshold(f: int, m: int, c) -> bool:
         return dlf <= dlt
 
 
-@lru_cache(maxsize=4)
-def _tail_table(m: int) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-    """Distinct f values of partitions of m (ascending) with cumulative
-    exact probabilities."""
-    agg: dict[int, Fraction] = {}
-    for lam in iter_partitions(m):
-        agg[f_of(lam)] = agg.get(f_of(lam), Fraction(0)) + coset_probability(lam, m)
-    fs = sorted(agg)
-    cum = []
-    total = Fraction(0)
-    for f in fs:
-        total += agg[f]
-        cum.append(total)
-    return tuple(fs), tuple(cum)
-
-
 def good_probability_exact(m: int, c) -> Fraction:
-    """P(f <= m^c) under the double-coset measure, as an exact rational."""
+    """P(f <= m^c) under the double-coset measure, as an exact rational.
+
+    P(lam) = K_m / f(lam) with K_m = 4^m m!^2 / (2m)!, so the tail is
+    K_m * sum N_m(f)/f over f <= T, where T is the largest integer with
+    T <= m^c and N_m(f) counts the partitions of m with that f.  f is a
+    product over part sizes i of (2i)^r r! (r the multiplicity), every
+    factor at least 2, so a knapsack over (weight, f) that drops every
+    state with f > T counts N_m(f) without visiting the partitions of m.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > EXACT_TAIL_MAX_M:
         raise ResourceLimitError(
             f"good_probability_exact limited to m <= {EXACT_TAIL_MAX_M}"
         )
-    fs, cum = _tail_table(m)
-    # rightmost f with f <= m^c (f_leq_threshold is monotone in f)
-    lo, hi = -1, len(fs) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if f_leq_threshold(fs[mid], m, c):
-            lo = mid
+    top = 2**m * math.factorial(m)  # f of the class 1^m, the largest
+    if f_leq_threshold(top, m, c):
+        return Fraction(1)
+    # t = T by bisection (f_leq_threshold is monotone in f): about
+    # log2(2^m m!) comparisons, each decided exactly
+    t, hi = 0, top  # t passes (0 by convention), hi fails
+    while hi - t > 1:
+        mid = (t + hi) // 2
+        if f_leq_threshold(mid, m, c):
+            t = mid
         else:
-            hi = mid - 1
-    return cum[lo] if lo >= 0 else Fraction(0)
+            hi = mid
+    if t < 2 * m:  # 2m = f of the class {m}, the smallest
+        return Fraction(0)
+    # counts[w][f]: partitions of w into the part sizes done so far, by f
+    counts: list[dict[int, int]] = [{} for _ in range(m + 1)]
+    counts[0][1] = 1
+    for i in range(1, m + 1):
+        # descending w: each target w + i*r has already been a source for
+        # this i, so no state takes part size i twice
+        for w in range(m - i, -1, -1):
+            for f, n in counts[w].items():
+                g, v, r = f, w + i, 1
+                while v <= m:
+                    g *= 2 * i * r  # (2i)^r r! over (2i)^(r-1) (r-1)!
+                    if g > t:
+                        break
+                    counts[v][g] = counts[v].get(g, 0) + n
+                    v += i
+                    r += 1
+    # every f divides 2^m m! (the quotient is 2^(m - parts) times the size
+    # of a conjugacy class of S_m), so sum n/f is an integer over top
+    k_m = Fraction(4**m * math.factorial(m) ** 2, math.factorial(2 * m))
+    return k_m * Fraction(sum(n * (top // f) for f, n in counts[m].items()), top)
 
 
 # --- sampling -----------------------------------------------------------

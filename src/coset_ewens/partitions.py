@@ -73,12 +73,6 @@ class Partition:
             mult[part] = r
         return cls.from_multiplicities(mult)
 
-    def multiplicity(self, part: int) -> int:
-        for p, r in self.counts:
-            if p == part:
-                return r
-        return 0
-
     @property
     def multiplicities(self) -> dict[int, int]:
         return dict(self.counts)

@@ -73,15 +73,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(p.images[j] for j in q.images))
 
 
-def compose_all(perms: Iterable[Permutation]) -> Permutation:
-    """Product of a nonempty sequence, leftmost factor applied last."""
-    perms = list(perms)
-    out = perms[0]
-    for p in perms[1:]:
-        out = compose(out, p)
-    return out
-
-
 def inverse(p: Permutation) -> Permutation:
     inv = [0] * p.n
     for i, v in enumerate(p.images):
@@ -143,10 +134,6 @@ def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
     return Permutation(tuple(images))
 
 
-def transposition(n: int, a: int, b: int) -> Permutation:
-    return from_cycles(n, [(a, b)])
-
-
 def cycle_type(g: Permutation) -> Partition:
     """Cycle type as a partition of ``n``, fixed points included as parts 1.
 
@@ -166,11 +153,6 @@ def cycle_type(g: Permutation) -> Partition:
             j = g.images[j]
         parts.append(length)
     return Partition.from_parts(parts)
-
-
-def support(g: Permutation) -> frozenset[int]:
-    """1-indexed symbols moved by ``g``."""
-    return frozenset(i + 1 for i, v in enumerate(g.images) if v != i)
 
 
 def cycle_string(g: Permutation) -> str:

@@ -138,7 +138,7 @@ def _exact_coeffs(beta: int, M: int) -> list[Fraction]:
 
 
 @lru_cache(maxsize=64)
-def _float_coeffs_cached(beta: float, M: int) -> np.ndarray:
+def _float_coeffs(beta: float, M: int) -> np.ndarray:
     acc = np.zeros(M + 1)
     acc[0] = 1.0
     for i in range(1, M + 1):
@@ -153,10 +153,6 @@ def _float_coeffs_cached(beta: float, M: int) -> np.ndarray:
         acc = new
     acc.setflags(write=False)
     return acc
-
-
-def _float_coeffs(beta: float, M: int) -> np.ndarray:
-    return _float_coeffs_cached(beta, M)
 
 
 def W_coefficient(beta: float, m: int) -> float:

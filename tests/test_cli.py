@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
 
 from coset_ewens.cli import main
+from coset_ewens.cosets import partition_of
+from coset_ewens.perm import Permutation
 
 
 def run(capsys, argv):
@@ -46,6 +49,16 @@ class TestClassify:
         code, env = run_json(capsys, ["classify", "[3,4,1,2]", "2"])
         assert code == 0
         assert env["payload"]["lambda"] == "1^2"
+
+    def test_large_m_past_int_digit_limit(self, capsys):
+        # coset_size has about 5700 digits here
+        images = list(range(2000))
+        random.Random(11).shuffle(images)
+        text = "[" + ",".join(str(v + 1) for v in images) + "]"
+        code, env = run_json(capsys, ["classify", text, "1000"])
+        assert code == 0
+        assert env["payload"]["lambda"] == str(partition_of(Permutation(tuple(images)), 1000))
+        assert len(env["payload"]["coset_size"]) > 4300
 
 
 class TestVerify:
@@ -130,6 +143,26 @@ class TestSample:
         monkeypatch.setenv("COSET_EWENS_THREADS", "2")
         code, env = run_json(capsys, ["sample", "100", "2", "1000", "--seed", "5"])
         assert code == 0
+
+
+class TestCommonFlags:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_out_of_range_exit_2(self, capsys, seed):
+        code, env = run_json(capsys, ["sample", "50", "2", "100", "--seed", str(seed)])
+        assert code == 2
+        assert env["error"]["code"] == "usage"
+        assert "payload" not in env
+
+    def test_largest_seed_accepted(self, capsys):
+        code, env = run_json(capsys, ["sample", "50", "2", "100", "--seed", str(2**64 - 1)])
+        assert code == 0
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_exit_2(self, capsys, threads):
+        code, env = run_json(capsys, ["sample", "50", "2", "100", "--threads", str(threads)])
+        assert code == 2
+        assert env["error"]["code"] == "usage"
+        assert "payload" not in env
 
 
 class TestTails:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coset_ewens.errors import ResourceLimitError
-from coset_ewens.partitions import Partition, enumerate_partitions
+from coset_ewens.partitions import Partition, enumerate_partitions, iter_partitions
 from coset_ewens.ewens import (
     SampleReport,
     coset_probability,
@@ -127,6 +127,30 @@ class TestGoodProbabilityExact:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             good_probability_exact(61, 2)
+
+
+def enumerated_mass_by_f(m):
+    """Oracle: exact class mass of each f, summed over every partition of m."""
+    agg: dict[int, Fraction] = {}
+    for lam in iter_partitions(m):
+        f = f_of(lam)
+        agg[f] = agg.get(f, Fraction(0)) + coset_probability(lam, m)
+    return agg
+
+
+# integer c hits f = m^c exactly at the boundary; 1.25 is decided on
+# integers (f^4 <= m^5); 1.3333333333333333 and 5.1 by float logs, and at
+# m >= 30 the threshold search for 5.1 escalates to 50-digit Decimal logs;
+# c <= 0 passes no class, 200 every class
+DIFFERENTIAL_CS = (0, 1, 2, 3, 4, 1.25, 1.3333333333333333, 5.1, -1.5, 0.5, 9, 200)
+
+
+@pytest.mark.parametrize("m", [*range(1, 31), 40])
+def test_exact_tail_matches_enumeration(m):
+    mass = enumerated_mass_by_f(m)
+    for c in DIFFERENTIAL_CS:
+        want = sum((p for f, p in mass.items() if f_leq_threshold(f, m, c)), Fraction(0))
+        assert good_probability_exact(m, c) == want, c
 
 
 def exact_distribution(m):
