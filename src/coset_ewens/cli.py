@@ -11,7 +11,6 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -51,18 +50,20 @@ def _fmt_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("COSET_EWENS_THREADS")
-    return int(env) if env else 1
+def _finite_float(text: str) -> float:
+    """argparse type for float arguments: nan and +-inf are usage errors."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
 
 
 def _check_common(args) -> None:
     if not 0 <= args.seed < 2**64:
         raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
-    if args.threads is not None and args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
 
 
 def _parse_m_list(text: str) -> list[int]:
@@ -123,7 +124,7 @@ def cmd_verify(args) -> dict:
     payload["mass_identity_ok"] = mass_ok
     payload["all_ok"] = all_ok
     if not all_ok:
-        raise VerificationFailure(json.dumps(payload))
+        raise VerificationFailure(json.dumps(payload, allow_nan=False))
     return payload
 
 
@@ -151,8 +152,7 @@ def cmd_table(args) -> dict:
 
 
 def cmd_sample(args) -> dict:
-    report = good_probability_mc(args.m, args.c, args.samples, args.seed,
-                                 threads=_threads(args))
+    report = good_probability_mc(args.m, args.c, args.samples, args.seed)
     return report.to_json_dict()
 
 
@@ -261,8 +261,6 @@ def _payload_csv(command: str, payload: dict) -> str | None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (fallback: COSET_EWENS_THREADS)")
     common.add_argument("--out", type=str, default=None, help="write output to file")
     common.add_argument("--csv", action="store_true", help="emit tables as CSV")
 
@@ -293,31 +291,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", parents=[common],
                        help="Monte Carlo estimate of P(f <= m^c)")
     p.add_argument("m", type=int)
-    p.add_argument("c", type=float)
+    p.add_argument("c", type=_finite_float)
     p.add_argument("samples", type=int)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("tails", parents=[common],
                        help="moment bounds for the two tails at (m, c)")
     p.add_argument("m", type=int)
-    p.add_argument("c", type=float)
+    p.add_argument("c", type=_finite_float)
     p.add_argument("--alpha-grid", type=str, default=None,
                    help="comma-separated alpha grid for the left bound")
     p.add_argument("--alpha-points", type=int, default=64)
-    p.add_argument("--beta", type=float, default=None,
+    p.add_argument("--beta", type=_finite_float, default=None,
                    help="right-tail beta in (0,1); default 1 - t/(log m)^2")
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=1.0)
     p.set_defaults(func=cmd_tails)
 
     p = sub.add_parser("series", parents=[common],
                        help="coefficients of the weighted-sum generating function")
-    p.add_argument("beta", type=float)
+    p.add_argument("beta", type=_finite_float)
     p.add_argument("max_degree", type=int)
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("asymptotics", parents=[common],
                        help="convergence diagnostic for beta > 1")
-    p.add_argument("beta", type=float)
+    p.add_argument("beta", type=_finite_float)
     p.add_argument("--m-list", type=str, required=True,
                    help="comma-separated m values")
     p.set_defaults(func=cmd_asymptotics)
@@ -330,6 +328,10 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _json_line(obj) -> str:
+    return json.dumps(obj, allow_nan=False) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -355,26 +357,26 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_common(args)
         payload = args.func(args)
+        text = _payload_csv(args.command, payload) if args.csv else None
+        if text is None:
+            # allow_nan=False: a non-finite float in a payload becomes a
+            # usage envelope instead of invalid JSON
+            text = _json_line(envelope("ok", payload=payload))
     except VerificationFailure as exc:
         env = envelope("error", error={"code": "verification_failed",
                                        "message": str(exc)})
-        _emit(json.dumps(env) + "\n", args.out)
+        _emit(_json_line(env), args.out)
         return EXIT_VERIFY_FAILED
     except ResourceLimitError as exc:
         env = envelope("error", error={"code": "resource_cap", "message": str(exc)})
-        _emit(json.dumps(env) + "\n", args.out)
+        _emit(_json_line(env), args.out)
         return EXIT_RESOURCE
     except (ValueError, OverflowError) as exc:
         env = envelope("error", error={"code": "usage", "message": str(exc)})
-        _emit(json.dumps(env) + "\n", args.out)
+        _emit(_json_line(env), args.out)
         return EXIT_USAGE
 
-    if args.csv:
-        csv_text = _payload_csv(args.command, payload)
-        if csv_text is not None:
-            _emit(csv_text, args.out)
-            return EXIT_OK
-    _emit(json.dumps(envelope("ok", payload=payload)) + "\n", args.out)
+    _emit(text, args.out)
     return EXIT_OK
 
 

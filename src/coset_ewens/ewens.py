@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -24,8 +23,10 @@ EXACT_TAIL_MAX_M = 60
 #: two-sided 95% normal quantile, used by the Wilson score radius
 Z_95 = 1.959963984540054
 
-# chunk layout for parallel Monte Carlo: sample s lives in chunk s // _CHUNK,
-# and round t of chunk c consumes stream indices c*2^40 + t*2^12 + lane
+# Monte Carlo stream layout: sample s lives in chunk s // _CHUNK, and round
+# t of chunk c reads stream indices c*2^40 + t*2^12 + lane.  These constants
+# fix which draws each sample gets, and so the payload bytes; a chunk also
+# bounds the per-lane state held in memory at once.
 _CHUNK = 4096
 _ROUND_SHIFT = 12
 _CHUNK_SHIFT = 40
@@ -273,38 +274,27 @@ def _chunk_hits(m: int, c: float, seed: int, chunk_index: int, count: int) -> in
         lf = sum(r * math.log(2 * part) + math.lgamma(r + 1)
                  for part, r in counts.items())
         if abs(lf - target) < 1e-9:
-            f = 1
-            for part, r in counts.items():
-                f *= (2 * part) ** r * math.factorial(r)
-            if f_leq_threshold(f, m, c):
+            if f_leq_threshold(f_of(Partition.from_parts(parts)), m, c):
                 hits += 1
         elif lf < target:
             hits += 1
     return hits
 
 
-def good_probability_mc(m: int, c: float, samples: int, seed: int,
-                        threads: int | None = None) -> SampleReport:
+def good_probability_mc(m: int, c: float, samples: int, seed: int) -> SampleReport:
     """Monte Carlo frequency of f(lam) <= m^c under Ewens(1/2) sampling.
 
-    The sample stream is partitioned into fixed-size chunks with
-    counter-derived sub-streams, so the report is identical for any
-    thread count.  The f-threshold test runs in log space with an exact
-    big-integer fallback inside a 1e-9 guard band.
+    The sample stream is split into fixed-size chunks with counter-derived
+    sub-streams, so the report is a pure function of its arguments.  The
+    f-threshold test runs in log space with an exact big-integer fallback
+    inside a 1e-9 guard band.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    chunks = [(i, min(_CHUNK, samples - i * _CHUNK))
-              for i in range((samples + _CHUNK - 1) // _CHUNK)]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hit_counts = list(pool.map(
-                lambda ic: _chunk_hits(m, c, seed, ic[0], ic[1]), chunks))
-    else:
-        hit_counts = [_chunk_hits(m, c, seed, i, cnt) for i, cnt in chunks]
-    hits = sum(hit_counts)
+    hits = sum(_chunk_hits(m, c, seed, i, min(_CHUNK, samples - i * _CHUNK))
+               for i in range((samples + _CHUNK - 1) // _CHUNK))
     return SampleReport(
         m=m,
         c=float(c),

@@ -74,10 +74,6 @@ class Partition:
         return cls.from_multiplicities(mult)
 
     @property
-    def multiplicities(self) -> dict[int, int]:
-        return dict(self.counts)
-
-    @property
     def num_parts(self) -> int:
         """Total number of parts (counted with multiplicity)."""
         return sum(r for _, r in self.counts)

@@ -1,9 +1,9 @@
 """Counter-based deterministic random numbers (splitmix64).
 
-Every draw is a pure function of (seed, stream index), so parallel
-consumers stay reproducible regardless of scheduling: worker w reading
-indices i simply computes ``uniform01(seed, i)``.  Integer arithmetic is
-exact and the float conversion uses the top 53 bits, so sequences are
+Every draw is a pure function of (seed, stream index): a consumer that
+owns a block of indices computes ``uniform01(seed, i)`` for each i, with
+no generator state to carry between draws or blocks.  Integer arithmetic
+is exact and the float conversion uses the top 53 bits, so sequences are
 identical across platforms.
 """
 from __future__ import annotations

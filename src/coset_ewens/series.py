@@ -24,6 +24,9 @@ from .partitions import Partition, iter_partitions
 
 DIRECT_MAX_M = 60
 SERIES_EXACT_MAX_M = 200
+# exact denominators grow like beta * M * log2(2M) bits; beta = 16 at M = 200
+# takes about 50 s, and an unbounded beta would exhaust memory
+SERIES_EXACT_MAX_BETA_M = 3200
 SERIES_MAX_M = 20000
 
 
@@ -63,14 +66,11 @@ def log_W_direct(beta: float, m: int) -> float:
     return top + math.log(math.fsum(math.exp(v - top) for v in logs))
 
 
-def W_one_closed(m: int):
-    """W(1, m) = (2m)! / (2^{2m} (m!)^2), exact for m <= 2000, float above."""
+def W_one_closed(m: int) -> Fraction:
+    """W(1, m) = (2m)! / (2^{2m} (m!)^2) as an exact rational."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m <= 2000:
-        return Fraction(math.factorial(2 * m),
-                        4**m * math.factorial(m) ** 2)
-    return math.exp(log_W_one_closed(m))
+    return Fraction(math.factorial(2 * m), 4**m * math.factorial(m) ** 2)
 
 
 def log_W_one_closed(m: int) -> float:
@@ -117,6 +117,9 @@ def W_series_coeffs(beta, M: int, exact: bool | None = None) -> TruncatedSeries:
         if M > SERIES_EXACT_MAX_M:
             raise ResourceLimitError(
                 f"exact series mode limited to M <= {SERIES_EXACT_MAX_M}")
+        if beta * M > SERIES_EXACT_MAX_BETA_M:
+            raise ResourceLimitError(
+                f"exact series mode limited to beta * M <= {SERIES_EXACT_MAX_BETA_M}")
         return TruncatedSeries(tuple(_exact_coeffs(int(beta), M)), M, True)
     arr = _float_coeffs(float(beta), M)
     return TruncatedSeries(tuple(float(v) for v in arr), M, False)
@@ -167,9 +170,6 @@ class WAtOneResult:
     value: float
     error_bound: float
     truncation: int
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _zeta_tail(s: float, N: int) -> tuple[float, float]:
@@ -254,8 +254,8 @@ def left_tail_bound(m: int, c: float, alpha_grid: Sequence[float] | None = None)
     alphas = tuple(alpha_grid) if alpha_grid is not None else default_alpha_grid()
     if not alphas:
         raise ValueError("alpha grid must be nonempty")
-    if any(a <= 0 for a in alphas):
-        raise ValueError("alpha grid entries must be > 0")
+    if not all(0 < a < math.inf for a in alphas):
+        raise ValueError("alpha grid entries must be finite and > 0")
     log_m = math.log(m)
     log_w1 = log_W_one_closed(m)
     grid = []

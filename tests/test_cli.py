@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coset_ewens.cli import main
 from coset_ewens.cosets import partition_of
@@ -118,13 +123,6 @@ class TestSample:
         assert code1 == code2 == 0
         assert json.dumps(env1["payload"]) == json.dumps(env2["payload"])
 
-    def test_thread_invariance(self, capsys):
-        _, env1 = run_json(capsys, ["sample", "200", "3", "5000", "--seed", "7",
-                                    "--threads", "1"])
-        _, env2 = run_json(capsys, ["sample", "200", "3", "5000", "--seed", "7",
-                                    "--threads", "4"])
-        assert json.dumps(env1["payload"]) == json.dumps(env2["payload"])
-
     def test_csv_row(self, capsys):
         code, out = run(capsys, ["sample", "100", "2", "1000", "--seed", "3", "--csv"])
         assert code == 0
@@ -139,10 +137,10 @@ class TestSample:
         env = json.loads(path.read_text())
         assert env["status"] == "ok"
 
-    def test_env_var_threads(self, capsys, monkeypatch):
-        monkeypatch.setenv("COSET_EWENS_THREADS", "2")
-        code, env = run_json(capsys, ["sample", "100", "2", "1000", "--seed", "5"])
-        assert code == 0
+    def test_threads_flag_is_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "50", "2", "100", "--threads", "4"])
+        assert exc.value.code == 2
 
 
 class TestCommonFlags:
@@ -157,12 +155,26 @@ class TestCommonFlags:
         code, env = run_json(capsys, ["sample", "50", "2", "100", "--seed", str(2**64 - 1)])
         assert code == 0
 
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_threads_below_one_exit_2(self, capsys, threads):
-        code, env = run_json(capsys, ["sample", "50", "2", "100", "--threads", str(threads)])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["sample", "50", "{}", "100"],
+        ["tails", "100", "{}"],
+        ["tails", "100", "2", "--beta", "{}"],
+        ["tails", "100", "2", "--t", "{}"],
+        ["series", "{}", "3"],
+        ["asymptotics", "{}", "--m-list", "50"],
+    ])
+    def test_non_finite_float_exit_2(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(value) for a in argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_alpha_grid_exit_2(self, capsys, value):
+        code, env = run_json(capsys, ["tails", "100", "2", "--alpha-grid", f"1,{value}"])
         assert code == 2
         assert env["error"]["code"] == "usage"
-        assert "payload" not in env
 
 
 class TestTails:
@@ -194,6 +206,11 @@ class TestSeriesCommand:
         code, env = run_json(capsys, ["series", "1.0", "30000"])
         assert code == 4
 
+    def test_huge_integral_beta_cap_exit_4(self, capsys):
+        code, env = run_json(capsys, ["series", "1e300", "5"])
+        assert code == 4
+        assert env["error"]["code"] == "resource_cap"
+
 
 class TestAsymptotics:
     def test_rows(self, capsys):
@@ -203,3 +220,34 @@ class TestAsymptotics:
         assert pay["product_error_bound"] < 1e-10
         assert len(pay["rows"]) == 2
         assert pay["rows"][1]["relative_deviation"] < pay["rows"][0]["relative_deviation"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats()).map(repr)
+_ARGV = st.one_of(
+    st.tuples(st.just("sample"), _ints(-2, 60), _FLOATS, _ints(-1, 200)),
+    st.tuples(st.just("tails"), _ints(-2, 60), _FLOATS, st.just("--alpha-points"),
+              _ints(-1, 8), st.sampled_from(["--beta", "--t"]), _FLOATS),
+    st.tuples(st.just("series"), _FLOATS, _ints(-1, 60)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARGV)
+def test_any_argv_ends_in_strict_json_or_usage_exit(argv):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected the argv
+        assert exc.code == 2
+        return
+    assert code in (0, 2, 3, 4)
+    json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -223,11 +223,6 @@ class TestGoodProbabilityMC:
         assert report.frequency in (0.0, 1.0)
         assert report.hits in (0, 1)
 
-    def test_thread_count_invariance(self):
-        a = good_probability_mc(50, 2.0, 20000, 99, threads=1)
-        b = good_probability_mc(50, 2.0, 20000, 99, threads=4)
-        assert a == b
-
     def test_report_fields(self):
         report = good_probability_mc(5, 1.5, 1000, 11)
         assert isinstance(report, SampleReport)

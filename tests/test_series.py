@@ -51,9 +51,10 @@ class TestWOneClosed:
             assert W_one_closed(m) == W_direct(1, m)
 
     def test_log_path_accuracy(self):
-        for m in (5, 50, 500, 2000):
-            assert log_W_one_closed(m) == pytest.approx(
-                math.log(float(W_one_closed(m))), abs=1e-10)
+        for m in (5, 50, 500, 2000, 2001, 5000):
+            w = W_one_closed(m)
+            assert isinstance(w, Fraction)
+            assert log_W_one_closed(m) == pytest.approx(math.log(w), abs=1e-10)
 
     def test_stirling_at_1e4(self):
         val = math.exp(log_W_one_closed(10**4)) * math.sqrt(math.pi * 10**4)
@@ -106,6 +107,8 @@ class TestSeriesCoeffs:
             W_series_coeffs(1.0, 20001)
         with pytest.raises(ResourceLimitError):
             W_series_coeffs(1, 201, exact=True)
+        with pytest.raises(ResourceLimitError):
+            W_series_coeffs(17, 200)
         with pytest.raises(ValueError):
             W_series_coeffs(0.5, 10, exact=True)
 
