@@ -5,7 +5,6 @@ and the density of elements with small intersection order.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -19,6 +18,8 @@ from .errors import ResourceLimitError
 from .partitions import Partition
 
 EXACT_TAIL_MAX_M = 60
+#: sample refused above this m (building its gap table peaks at ~335 MiB)
+SAMPLE_MAX_M = 10**7
 
 #: two-sided 95% normal quantile, used by the Wilson score radius
 Z_95 = 1.959963984540054
@@ -167,6 +168,12 @@ def good_probability_exact(m: int, c) -> Fraction:
 
 # --- sampling -----------------------------------------------------------
 
+def _check_seed(seed: int) -> None:
+    # the stream reads seeds modulo 2^64; refuse instead of aliasing
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+
+
 def sample_partition(m: int, theta: float, seed: int) -> Partition:
     """One draw from the Ewens distribution via the sequential
     part-opening process: element n+1 opens a new part with probability
@@ -180,6 +187,7 @@ def sample_partition(m: int, theta: float, seed: int) -> Partition:
         raise ValueError("m must be >= 1")
     if theta <= 0:
         raise ValueError("theta must be > 0")
+    _check_seed(seed)
     sizes: list[int] = []
     member_table: list[int] = []  # element index -> its part
     for n in range(m):
@@ -195,51 +203,43 @@ def sample_partition(m: int, theta: float, seed: int) -> Partition:
     return Partition.from_parts(sizes)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def _gap_prefix(m: int, theta: float) -> np.ndarray:
-    """Prefix sums A[j] = sum_{l=2..j+1} log((l-1)/(theta+l-1)), j=0..m-1.
+    """Prefix sums G[j] = sum_{l=2..j+1} log((theta+l-1)/(l-1)), j=0..m-1.
 
     With marks at positions 1..m drawn independently (position l marked
     with probability theta/(theta+l-1), position 1 always marked), the
     gap from a mark at i to the next mark satisfies
-    log P(no mark in (i, j]) = A[j-1] - A[i-1].
+    log P(no mark in (i, j]) = G[i-1] - G[j-1].
     """
     l = np.arange(2, m + 1, dtype=np.float64)
     steps = np.log((l - 1.0) / (theta + l - 1.0))
-    return np.concatenate([[0.0], np.cumsum(steps)])
+    return -np.concatenate([[0.0], np.cumsum(steps)])
 
 
 def _sample_parts_chunk(m: int, theta: float, seed: int, chunk_index: int,
-                        count: int) -> list[list[int]]:
-    """Part lists for one chunk of samples, via inverse-CDF gap sampling
-    of the mark positions (distribution identical to sample_partition's
-    process; validated against it by total-variation tests)."""
-    A = _gap_prefix(m, theta)
-    neg_a = -A  # increasing
+                        count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ``(lanes, sizes)`` arrays of the parts of one chunk of samples,
+    via inverse-CDF gap sampling of the mark positions (distribution
+    identical to sample_partition's process; validated against it by
+    total-variation tests), one gap per unfinished lane and round."""
+    G = _gap_prefix(m, theta)
     base = chunk_index << _CHUNK_SHIFT
-    positions = np.ones(count, dtype=np.int64)
-    parts: list[list[int]] = [[] for _ in range(count)]
-    active = np.arange(count)
+    active = np.arange(count, dtype=np.int64)
+    positions = np.ones(count, dtype=np.int64)  # last mark of each active lane
+    lanes, sizes = [], []
     rnd = 0
     while active.size:
-        idx = base + (rnd << _ROUND_SHIFT) + active
-        u = rng.uniform01_array(seed, idx.astype(np.uint64))
+        u = rng.uniform01_array(seed, base + (rnd << _ROUND_SHIFT) + active)
         with np.errstate(divide="ignore"):
             log_u = np.log(u)
-        targets = A[positions[active] - 1] + log_u
-        nxt = np.searchsorted(neg_a, -targets, side="right") + 1
-        still = []
-        for lane, j in zip(active, nxt):
-            i = int(positions[lane])
-            if j > m:
-                parts[lane].append(m + 1 - i)
-            else:
-                parts[lane].append(int(j) - i)
-                positions[lane] = j
-                still.append(lane)
-        active = np.array(still, dtype=np.int64)
+        nxt = np.searchsorted(G, G[positions - 1] - log_u, side="right") + 1
+        lanes.append(active)
+        sizes.append(nxt - positions)
+        keep = nxt <= m
+        active, positions = active[keep], nxt[keep]
         rnd += 1
-    return parts
+    return np.concatenate(lanes), np.concatenate(sizes)
 
 
 @dataclass(frozen=True)
@@ -265,19 +265,28 @@ def wilson_radius(hits: int, samples: int, z: float = Z_95) -> float:
     return z * math.sqrt(p * (1.0 - p) / samples + z * z / (4.0 * samples * samples)) / denom
 
 
-def _chunk_hits(m: int, c: float, seed: int, chunk_index: int, count: int) -> int:
-    log_m = math.log(m)
-    target = c * log_m
-    hits = 0
-    for parts in _sample_parts_chunk(m, 0.5, seed, chunk_index, count):
-        counts = Counter(parts)
-        lf = sum(r * math.log(2 * part) + math.lgamma(r + 1)
-                 for part, r in counts.items())
-        if abs(lf - target) < 1e-9:
-            if f_leq_threshold(f_of(Partition.from_parts(parts)), m, c):
-                hits += 1
-        elif lf < target:
-            hits += 1
+def _chunk_hits(m: int, c: float, seed: int, chunk_index: int, count: int,
+                band: dict[tuple[tuple[int, int], ...], bool]) -> int:
+    """Samples of one chunk with f <= m^c: log f is summed per lane, and a
+    lane within 1e-9 of c log m is decided exactly, once per class across
+    chunks (``band`` maps ((size, multiplicity), ...) to the decision)."""
+    lanes, sizes = _sample_parts_chunk(m, 0.5, seed, chunk_index, count)
+    # one row per distinct (lane, size), in lane order, with multiplicity r
+    rows, r = np.unique(lanes * (m + 1) + sizes, return_counts=True)
+    lanes, sizes = np.divmod(rows, m + 1)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(int(r.max()) + 1)])
+    lf = np.bincount(lanes, weights=r * np.log(2.0 * sizes) + log_fact[r],
+                     minlength=count)
+    target = c * math.log(m)
+    near = np.abs(lf - target) < 1e-9
+    hits = int(np.count_nonzero(~near & (lf < target)))
+    # rows are sorted by lane, so each band lane's rows are one slice
+    bounds = np.searchsorted(lanes, np.flatnonzero(near)[:, None] + np.array([0, 1]))
+    for a, b in bounds.tolist():
+        key = tuple(zip(sizes[a:b].tolist(), r[a:b].tolist()))
+        if key not in band:
+            band[key] = f_leq_threshold(f_of(Partition(key, m)), m, c)
+        hits += band[key]
     return hits
 
 
@@ -286,14 +295,18 @@ def good_probability_mc(m: int, c: float, samples: int, seed: int) -> SampleRepo
 
     The sample stream is split into fixed-size chunks with counter-derived
     sub-streams, so the report is a pure function of its arguments.  The
-    f-threshold test runs in log space with an exact big-integer fallback
-    inside a 1e-9 guard band.
+    f-threshold test runs in log space; a sample inside the 1e-9 guard band
+    is decided by the exact big-integer test, once per partition class.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > SAMPLE_MAX_M:
+        raise ResourceLimitError(f"good_probability_mc limited to m <= {SAMPLE_MAX_M}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    hits = sum(_chunk_hits(m, c, seed, i, min(_CHUNK, samples - i * _CHUNK))
+    _check_seed(seed)
+    band: dict[tuple[tuple[int, int], ...], bool] = {}
+    hits = sum(_chunk_hits(m, c, seed, i, min(_CHUNK, samples - i * _CHUNK), band)
                for i in range((samples + _CHUNK - 1) // _CHUNK))
     return SampleReport(
         m=m,

@@ -137,6 +137,17 @@ class TestSample:
         env = json.loads(path.read_text())
         assert env["status"] == "ok"
 
+    def test_m_above_cap_exit_4(self, capsys):
+        code, env = run_json(capsys, ["sample", str(10**7 + 1), "2", "10"])
+        assert code == 4
+        assert env["error"]["code"] == "resource_cap"
+        assert "payload" not in env
+
+    def test_m_at_cap(self, capsys):
+        code, env = run_json(capsys, ["sample", str(10**7), "2", "10"])
+        assert code == 0
+        assert env["payload"]["m"] == 10**7
+
     def test_threads_flag_is_unknown(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sample", "50", "2", "100", "--threads", "4"])

@@ -2,8 +2,10 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from coset_ewens import ewens, rng
 from coset_ewens.errors import ResourceLimitError
 from coset_ewens.partitions import Partition, enumerate_partitions, iter_partitions
 from coset_ewens.ewens import (
@@ -17,6 +19,8 @@ from coset_ewens.ewens import (
     log_f,
     sample_partition,
     wilson_radius,
+    SAMPLE_MAX_M,
+    _chunk_hits,
     _sample_parts_chunk,
 )
 
@@ -192,21 +196,108 @@ class TestSamplePartition:
         with pytest.raises(ValueError):
             sample_partition(3, 0.0, 1)
 
+    def test_seed_range(self):
+        sample_partition(30, 0.5, 0)
+        sample_partition(30, 0.5, 2**64 - 1)
+        for seed in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(ValueError):
+                sample_partition(30, 0.5, seed)
+
+
+def _reference_parts_chunk(m, theta, seed, chunk_index, count):
+    """Oracle: the per-lane gap sampler the vectorised kernel replaced,
+    returning each lane's part list in draw order."""
+    l = np.arange(2, m + 1, dtype=np.float64)
+    A = np.concatenate([[0.0], np.cumsum(np.log((l - 1.0) / (theta + l - 1.0)))])
+    neg_a = -A
+    base = chunk_index << 40
+    positions = np.ones(count, dtype=np.int64)
+    parts = [[] for _ in range(count)]
+    active = np.arange(count)
+    rnd = 0
+    while active.size:
+        idx = base + (rnd << 12) + active
+        u = rng.uniform01_array(seed, idx.astype(np.uint64))
+        with np.errstate(divide="ignore"):
+            log_u = np.log(u)
+        targets = A[positions[active] - 1] + log_u
+        nxt = np.searchsorted(neg_a, -targets, side="right") + 1
+        still = []
+        for lane, j in zip(active, nxt):
+            i = int(positions[lane])
+            if j > m:
+                parts[lane].append(m + 1 - i)
+            else:
+                parts[lane].append(int(j) - i)
+                positions[lane] = j
+                still.append(lane)
+        active = np.array(still, dtype=np.int64)
+        rnd += 1
+    return parts
+
 
 class TestGapSampler:
     def test_total_variation_m6(self):
         # the large-m sampling path must match the exact law too
-        n = 0
-        counts: Counter = Counter()
-        for chunk in range(250):
-            for parts in _sample_parts_chunk(6, 0.5, 123, chunk, 4096):
-                counts[Partition.from_parts(parts)] += 1
-                n += 1
-        assert tv_distance(counts, exact_distribution(6), n) < 0.005
+        m, base = 6, 7
+        # a lane's multiplicities r_1..r_m (all <= m) as the digits of one
+        # base-7 number
+        digit = base ** np.arange(m + 1)
+        keys = np.concatenate([
+            np.bincount(lanes, weights=digit[sizes], minlength=4096)
+            for lanes, sizes in (_sample_parts_chunk(m, 0.5, 123, chunk, 4096)
+                                 for chunk in range(250))
+        ]).astype(np.int64)
+        counts = {}
+        for key, k in zip(*(a.tolist() for a in np.unique(keys, return_counts=True))):
+            mult = {i: key // base**i % base for i in range(1, m + 1)}
+            counts[Partition.from_multiplicities(mult)] = k
+        n = keys.size
+        assert n == 250 * 4096
+        assert tv_distance(counts, exact_distribution(m), n) < 0.005
 
     def test_parts_sum_to_m(self):
-        for parts in _sample_parts_chunk(37, 0.5, 5, 0, 2048):
-            assert sum(parts) == 37
+        lanes, sizes = _sample_parts_chunk(37, 0.5, 5, 0, 2048)
+        assert np.bincount(lanes, weights=sizes, minlength=2048).tolist() == [37] * 2048
+
+
+@pytest.mark.parametrize("m", [1, 2, 6, 37, 1000, 100000])
+@pytest.mark.parametrize("count", [1, 7, 4096])
+def test_gap_sampler_matches_reference(m, count):
+    for chunk in (0, 5, 2**20):
+        lanes, sizes = _sample_parts_chunk(m, 0.5, 77, chunk, count)
+        got = [[] for _ in range(count)]
+        for lane, size in zip(lanes.tolist(), sizes.tolist()):
+            got[lane].append(size)
+        want = _reference_parts_chunk(m, 0.5, 77, chunk, count)
+        assert [sorted(p) for p in got] == [sorted(p) for p in want]
+
+
+# 16, 1.25: the class {16} has f = 32 = 16^1.25 exactly, so about a quarter
+# of the samples sit in the guard band (decided on integers); 4/3 as a float
+# is decided by float logs with Decimal escalation
+@pytest.mark.parametrize("m, c", [(16, 1.25), (8, 1.3333333333333333), (1000, 3), (30, 2.5)])
+def test_chunk_hits_match_exact_count(m, c):
+    band: dict = {}
+    for chunk in (0, 3):
+        want = sum(f_leq_threshold(f_of(Partition.from_parts(p)), m, c)
+                   for p in _reference_parts_chunk(m, 0.5, 2024, chunk, 4096))
+        assert _chunk_hits(m, c, 2024, chunk, 4096, band) == want
+
+
+def test_guard_band_decided_once_per_class(monkeypatch):
+    calls = []
+    exact = ewens.f_leq_threshold
+
+    def counting(f, m, c):
+        calls.append(f)
+        return exact(f, m, c)
+
+    monkeypatch.setattr(ewens, "f_leq_threshold", counting)
+    good_probability_mc(16, 1.25, 40000, 8)
+    # about 9 000 draws of {16} (f = 32 = 16^1.25) land in the band; the
+    # exact test runs once per class, and m = 16 has p(16) = 231 classes
+    assert 1 <= len(calls) <= 231
 
 
 class TestGoodProbabilityMC:
@@ -222,6 +313,17 @@ class TestGoodProbabilityMC:
         report = good_probability_mc(2, 2.0, 1, 3)
         assert report.frequency in (0.0, 1.0)
         assert report.hits in (0, 1)
+
+    def test_sample_cap(self):
+        with pytest.raises(ResourceLimitError):
+            good_probability_mc(SAMPLE_MAX_M + 1, 2.0, 10, 1)
+
+    def test_seed_range(self):
+        assert good_probability_mc(50, 2.0, 300, 2**64 - 1).seed == 2**64 - 1
+        assert good_probability_mc(50, 2.0, 300, 0).seed == 0
+        for seed in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(ValueError):
+                good_probability_mc(50, 2.0, 300, seed)
 
     def test_report_fields(self):
         report = good_probability_mc(5, 1.5, 1000, 11)
