@@ -4,9 +4,12 @@ H is the centralizer of the base involution (1 2)(3 4)...(2m-1 2m),
 equivalently the group of permutations preserving the block partition
 {1,2},{3,4},...,{2m-1,2m}.  Double cosets HgH are classified by
 partitions of m; the classifier reads connected components off a
-bipartite block-matching graph, and an independent constructive
-reduction produces an even-support representative together with an
-explicit certificate (h1, h2) with h1*g*h2 equal to the representative.
+bipartite block-matching graph (the coset type of g, Macdonald,
+*Symmetric Functions and Hall Polynomials*, 2nd ed., VII.2).  The same
+graph gives an even-support representative with an explicit certificate
+(h1, h2), h1*g*h2 equal to the representative: its components are even
+cycles, and alternate edges pick one symbol per block that g sends to
+distinct blocks.
 """
 from __future__ import annotations
 
@@ -26,7 +29,6 @@ from .perm import (
     cycle_string,
     disjoint_cycles,
     from_cycles,
-    identity,
     inverse,
 )
 
@@ -41,11 +43,6 @@ def _check_degree(g: Permutation, m: int) -> None:
         raise ValueError("m must be >= 1")
     if g.n != 2 * m:
         raise ValueError(f"degree mismatch: permutation has degree {g.n}, expected {2 * m}")
-
-
-def block_of(symbol: int) -> int:
-    """Index (1-based) of the block {2k-1, 2k} containing ``symbol``."""
-    return (symbol + 1) // 2
 
 
 def base_involution(m: int) -> Permutation:
@@ -366,150 +363,44 @@ class EvenSupportReduction:
     right: Permutation
 
 
-def _block_swap(n: int, j: int, jp: int) -> Permutation:
-    """Element of H exchanging blocks j and jp without in-block swaps."""
-    return from_cycles(n, [(2 * j - 1, 2 * jp - 1), (2 * j, 2 * jp)])
-
-
-def _pure_parity(cycle: tuple[int, ...]) -> bool:
-    return all(s % 2 == 1 for s in cycle) or all(s % 2 == 0 for s in cycle)
-
-
-def _solve_block_parities(cycles):
-    """Union-find with parity over blocks: decide whether in-block swaps
-    alone can recolor every cycle to a single parity.
-
-    Returns (True, flip_set, None) or (False, None, (block_a, block_b))
-    with the blocks of the first contradictory constraint.
-    """
-    parent: dict[int, int] = {}
-    rel: dict[int, int] = {}  # parity of var relative to its parent
-
-    def find(v):
-        path = []
-        root = v
-        while parent[root] != root:
-            path.append(root)
-            root = parent[root]
-        # recompute each path node's parity to the root, nearest first
-        acc = 0
-        for node in reversed(path):
-            acc ^= rel[node]
-            parent[node] = root
-            rel[node] = acc
-        return root, acc
-
-    def ensure(v):
-        if v not in parent:
-            parent[v] = v
-            rel[v] = 0
-
-    for cyc in cycles:
-        anchor = cyc[0]
-        ka = block_of(anchor)
-        ensure(ka)
-        for s in cyc[1:]:
-            ks = block_of(s)
-            ensure(ks)
-            want = (s % 2) ^ (anchor % 2)
-            ra, pa = find(ka)
-            rs, ps = find(ks)
-            if ra == rs:
-                if pa ^ ps != want:
-                    return False, None, (ka, ks)
-            else:
-                parent[rs] = ra
-                rel[rs] = pa ^ ps ^ want
-    flips = set()
-    for v in parent:
-        _, p = find(v)
-        if p:
-            flips.add(v)
-    return True, flips, None
-
-
 def reduce_to_even_support(g: Permutation, m: int) -> EvenSupportReduction:
-    """Rewrite g into an even-support member of HgH by certified moves.
+    """Rewrite g into an even-support member of HgH in one O(m) pass.
 
-    The schedule works on the disjoint cycles of the running element:
-    cycles holding both symbols of a block are split by left-multiplying
-    the in-block swap; remaining mixed-parity cycles are recolored by a
-    conjugation when the block-parity constraints are solvable, and a
-    blocking odd constraint loop is broken by right-multiplying a block
-    exchange.  Once every cycle has a single parity, two mirror moves in
-    H clear first the even part and then the odd remainder.  Every move
-    is accumulated into the certificate, which is verified before
-    returning.
+    Every vertex of the block-matching graph (see :func:`partition_of`)
+    has degree two, so each component is an even cycle and taking every
+    other edge picks one symbol per block whose images under g also lie
+    in distinct blocks.  ``right`` maps block k onto itself, sending
+    2k-1 to the pick of block k; ``left`` sends g(pick) and its block
+    partner to 2k-1 and 2k.  Then left*g*right fixes every odd symbol,
+    and on the even symbols it permutes the blocks with the cycle type
+    of the class.  The certificate is verified before returning.
     """
     _check_degree(g, m)
     n = 2 * m
-    x = g
-    left = identity(n)
-    right = identity(n)
-
-    for _ in range(8 * m + 32):
-        cycles = disjoint_cycles(x)
-        if all(_pure_parity(c) for c in cycles):
-            break
-        # split a cycle containing a full block
-        split_k = None
-        for cyc in cycles:
-            symbols = set(cyc)
-            for s in cyc:
-                if s % 2 == 1 and s + 1 in symbols:
-                    split_k = block_of(s)
-                    break
-            if split_k:
-                break
-        if split_k is not None:
-            t = from_cycles(n, [(2 * split_k - 1, 2 * split_k)])
-            x = compose(t, x)
-            left = compose(t, left)
-            continue
-        ok, flips, conflict = _solve_block_parities(cycles)
-        if ok:
-            if flips:
-                c = from_cycles(n, [(2 * k - 1, 2 * k) for k in sorted(flips)])
-                x = compose(compose(c, x), c)
-                left = compose(c, left)
-                right = compose(right, c)
-            continue
-        j, jp = conflict
-        tau = _block_swap(n, j, jp)
-        x = compose(x, tau)
-        right = compose(right, tau)
-    else:
-        raise RuntimeError("even-support reduction did not converge")
-
-    evens_fixed = all(x.images[i] == i for i in range(1, n, 2))
-    if not evens_fixed or any(x.images[i] != i for i in range(0, n, 2)):
-        even_moved = [i for i in range(1, n, 2) if x.images[i] != i]
-        if even_moved:
-            # straight extension of the even action; clears it from x
-            imgs = list(range(n))
-            for i in even_moved:
-                imgs[i] = x.images[i]
-                imgs[i - 1] = x.images[i] - 1
-            pair = inverse(Permutation(tuple(imgs)))
-            x = compose(pair, x)
-            left = compose(pair, left)
-        if not x.is_identity():
-            # x is now odd-support; mirror it away, leaving even support
-            imgs = list(range(n))
-            for i in range(0, n, 2):
-                imgs[i] = x.images[i]
-                imgs[i + 1] = x.images[i] + 1
-            r = inverse(Permutation(tuple(imgs)))
-            x = compose(r, x)
-            left = compose(r, left)
-
-    if any(x.images[i] != i for i in range(0, n, 2)):
-        raise AssertionError("reduction result is not supported on even symbols")
-    if compose(compose(left, g), right).images != x.images:
+    img = g.images
+    ginv = inverse(g).images
+    # walk each cycle of the graph on alternate edges (0-indexed symbols):
+    # from the picked s, the other edge into the image block of s is
+    # ginv[img[s] ^ 1], and its block partner is the next pick
+    pick = [-1] * m
+    for start in range(0, n, 2):
+        s = start
+        while pick[s // 2] < 0:
+            pick[s // 2] = s
+            s = ginv[img[s] ^ 1] ^ 1
+    left, right, result = [0] * n, [0] * n, list(range(n))
+    for k, s in enumerate(pick):
+        right[2 * k], right[2 * k + 1] = s, s ^ 1
+        left[img[s]], left[img[s] ^ 1] = 2 * k, 2 * k + 1
+    for k, s in enumerate(pick):
+        result[2 * k + 1] = left[img[s ^ 1]]
+    red = EvenSupportReduction(*(Permutation(tuple(p)) for p in (result, left, right)))
+    # result fixes the odd symbols by construction; the product must match it
+    if compose(compose(red.left, g), red.right) != red.result:
         raise AssertionError("certificate does not reproduce the representative")
-    if not (is_in_H(left, m) and is_in_H(right, m)):
+    if not (is_in_H(red.left, m) and is_in_H(red.right, m)):
         raise AssertionError("certificate multipliers are not in H")
-    return EvenSupportReduction(x, left, right)
+    return red
 
 
 @dataclass(frozen=True)

@@ -168,12 +168,6 @@ def good_probability_exact(m: int, c) -> Fraction:
 
 # --- sampling -----------------------------------------------------------
 
-def _check_seed(seed: int) -> None:
-    # the stream reads seeds modulo 2^64; refuse instead of aliasing
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-
-
 def sample_partition(m: int, theta: float, seed: int) -> Partition:
     """One draw from the Ewens distribution via the sequential
     part-opening process: element n+1 opens a new part with probability
@@ -187,7 +181,6 @@ def sample_partition(m: int, theta: float, seed: int) -> Partition:
         raise ValueError("m must be >= 1")
     if theta <= 0:
         raise ValueError("theta must be > 0")
-    _check_seed(seed)
     sizes: list[int] = []
     member_table: list[int] = []  # element index -> its part
     for n in range(m):
@@ -304,7 +297,9 @@ def good_probability_mc(m: int, c: float, samples: int, seed: int) -> SampleRepo
         raise ResourceLimitError(f"good_probability_mc limited to m <= {SAMPLE_MAX_M}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_seed(seed)
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
+    rng.check_seed(seed)  # before the chunks allocate anything
     band: dict[tuple[tuple[int, int], ...], bool] = {}
     hits = sum(_chunk_hits(m, c, seed, i, min(_CHUNK, samples - i * _CHUNK), band)
                for i in range((samples + _CHUNK - 1) // _CHUNK))

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -122,7 +121,6 @@ def enumerate_partitions(m: int) -> list[Partition]:
 
 
 _pcount: list[int] = [1]
-_pcount_lock = threading.Lock()
 
 
 def partition_count(m: int) -> int:
@@ -131,24 +129,23 @@ def partition_count(m: int) -> int:
         raise ValueError("m must be nonnegative")
     if m < len(_pcount):
         return _pcount[m]
-    with _pcount_lock:
-        while len(_pcount) <= m:
-            n = len(_pcount)
-            total = 0
-            k = 1
-            while True:
-                g1 = n - k * (3 * k - 1) // 2
-                g2 = n - k * (3 * k + 1) // 2
-                if g1 < 0 and g2 < 0:
-                    break
-                term = 0
-                if g1 >= 0:
-                    term += _pcount[g1]
-                if g2 >= 0:
-                    term += _pcount[g2]
-                total += term if k % 2 == 1 else -term
-                k += 1
-            _pcount.append(total)
+    while len(_pcount) <= m:
+        n = len(_pcount)
+        total = 0
+        k = 1
+        while True:
+            g1 = n - k * (3 * k - 1) // 2
+            g2 = n - k * (3 * k + 1) // 2
+            if g1 < 0 and g2 < 0:
+                break
+            term = 0
+            if g1 >= 0:
+                term += _pcount[g1]
+            if g2 >= 0:
+                term += _pcount[g2]
+            total += term if k % 2 == 1 else -term
+            k += 1
+        _pcount.append(total)
     return _pcount[m]
 
 

@@ -4,7 +4,8 @@ Every draw is a pure function of (seed, stream index): a consumer that
 owns a block of indices computes ``uniform01(seed, i)`` for each i, with
 no generator state to carry between draws or blocks.  Integer arithmetic
 is exact and the float conversion uses the top 53 bits, so sequences are
-identical across platforms.
+identical across platforms.  Seeds outside [0, 2^64) are refused rather
+than reduced modulo 2^64, so no two seeds alias one stream.
 """
 from __future__ import annotations
 
@@ -24,8 +25,15 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_seed(seed: int) -> None:
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+
+
 def raw64(seed: int, index: int) -> int:
     """The ``index``-th 64-bit word of the stream for ``seed``."""
+    if not 0 <= seed <= _MASK:  # one comparison per draw; raise through the check
+        check_seed(seed)
     return mix64((seed + (index + 1) * _GOLDEN) & _MASK)
 
 
@@ -36,7 +44,8 @@ def uniform01(seed: int, index: int) -> float:
 
 def uniform01_array(seed: int, indices: np.ndarray) -> np.ndarray:
     """Vectorized :func:`uniform01` over a uint64 index array."""
-    z = (np.uint64(seed & _MASK) + (indices.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))
+    check_seed(seed)
+    z = (np.uint64(seed) + (indices.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     z = z ^ (z >> np.uint64(31))

@@ -340,7 +340,7 @@ class TestEvenSupportReduction:
         red = reduce_to_even_support(g, 2)
         self.assert_valid(g, 2, red)
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_exhaustive_small(self, m):
         for g in all_perms(2 * m):
             self.assert_valid(g, m, reduce_to_even_support(g, m))
@@ -351,6 +351,44 @@ class TestEvenSupportReduction:
             for _ in range(200):
                 g = rand_perm(rng, 2 * m)
                 self.assert_valid(g, m, reduce_to_even_support(g, m))
+
+    @pytest.mark.parametrize("m", [50, 300, 1000])
+    def test_randomized_large(self, m):
+        rng = random.Random(m)
+        for _ in range(5):
+            g = rand_perm(rng, 2 * m)
+            self.assert_valid(g, m, reduce_to_even_support(g, m))
+
+    @pytest.mark.parametrize("m", [5, 12, 50, 300, 1000])
+    def test_block_map_cycle_type_matches_classifier(self, m):
+        # the result permutes the even symbols 2k as blocks; the cycle type
+        # of that block map, found by a plain walk, must be the class the
+        # union-find classifier reads off g
+        rng = random.Random(7 * m + 1)
+        for _ in range(10):
+            g = rand_perm(rng, 2 * m)
+            block_map = [v // 2 for v in reduce_to_even_support(g, m).result.images[1::2]]
+            seen = [False] * m
+            lengths = []
+            for k in range(m):
+                length = 0
+                while not seen[k]:
+                    seen[k] = True
+                    k = block_map[k]
+                    length += 1
+                if length:
+                    lengths.append(length)
+            assert Partition.from_parts(lengths) == partition_of(g, m)
+
+    def test_no_cycle_decomposition(self, monkeypatch):
+        import coset_ewens.cosets as cosets
+
+        def refuse(p):
+            raise AssertionError("disjoint_cycles called")
+
+        monkeypatch.setattr(cosets, "disjoint_cycles", refuse)
+        g = rand_perm(random.Random(5), 400)
+        self.assert_valid(g, 200, reduce_to_even_support(g, 200))
 
 
 class TestTheoremOrderCheck:

@@ -236,6 +236,24 @@ def _reference_parts_chunk(m, theta, seed, chunk_index, count):
     return parts
 
 
+class TestRngSeedRange:
+    def test_edges_accepted(self):
+        idx = np.arange(5, dtype=np.uint64)
+        for seed in (0, 2**64 - 1):
+            u = rng.uniform01_array(seed, idx)
+            assert [rng.uniform01(seed, i) for i in range(5)] == u.tolist()
+            assert rng.raw64(seed, 3) >> 11 == int(u[3] * 2.0**53)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_refused(self, seed):
+        with pytest.raises(ValueError):
+            rng.raw64(seed, 3)
+        with pytest.raises(ValueError):
+            rng.uniform01(seed, 3)
+        with pytest.raises(ValueError):
+            rng.uniform01_array(seed, np.arange(3, dtype=np.uint64))
+
+
 class TestGapSampler:
     def test_total_variation_m6(self):
         # the large-m sampling path must match the exact law too
@@ -324,6 +342,11 @@ class TestGoodProbabilityMC:
         for seed in (-1, 2**64, 2**64 + 5):
             with pytest.raises(ValueError):
                 good_probability_mc(50, 2.0, 300, seed)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_c(self, c):
+        with pytest.raises(ValueError):
+            good_probability_mc(50, c, 100, 1)
 
     def test_report_fields(self):
         report = good_probability_mc(5, 1.5, 1000, 11)
