@@ -3,7 +3,8 @@ tables, sampling experiments, and series/tail computations.
 
 One JSON envelope per invocation on stdout (or --out); --csv switches
 table-shaped payloads to CSV.  Exit codes: 0 ok, 2 usage error, 3
-verification failure, 4 resource-cap rejection.
+verification failure, 4 resource-cap rejection, 5 a result out of float64
+range.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .cosets import (
     predicted_intersection_order,
     wreath_model,
 )
-from .errors import ResourceLimitError
+from .errors import NumericRangeError, ResourceLimitError
 from .ewens import coset_probability, good_probability_mc
 from .partitions import Partition, enumerate_partitions
 from .perm import cycle_string, parse_permutation
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_RESOURCE = 4
+EXIT_NUMERIC_RANGE = 5
 
 
 class VerificationFailure(Exception):
@@ -354,6 +356,11 @@ def main(argv: list[str] | None = None) -> int:
         env["elapsed_ms"] = int((time.monotonic() - start) * 1000)
         return env
 
+    def fail(code: str, exc: Exception, status: int) -> int:
+        env = envelope("error", error={"code": code, "message": str(exc)})
+        _emit(_json_line(env), args.out)
+        return status
+
     try:
         _check_common(args)
         payload = args.func(args)
@@ -363,18 +370,13 @@ def main(argv: list[str] | None = None) -> int:
             # usage envelope instead of invalid JSON
             text = _json_line(envelope("ok", payload=payload))
     except VerificationFailure as exc:
-        env = envelope("error", error={"code": "verification_failed",
-                                       "message": str(exc)})
-        _emit(_json_line(env), args.out)
-        return EXIT_VERIFY_FAILED
+        return fail("verification_failed", exc, EXIT_VERIFY_FAILED)
     except ResourceLimitError as exc:
-        env = envelope("error", error={"code": "resource_cap", "message": str(exc)})
-        _emit(_json_line(env), args.out)
-        return EXIT_RESOURCE
+        return fail("resource_cap", exc, EXIT_RESOURCE)
+    except NumericRangeError as exc:
+        return fail("numeric_range", exc, EXIT_NUMERIC_RANGE)
     except (ValueError, OverflowError) as exc:
-        env = envelope("error", error={"code": "usage", "message": str(exc)})
-        _emit(_json_line(env), args.out)
-        return EXIT_USAGE
+        return fail("usage", exc, EXIT_USAGE)
 
     _emit(text, args.out)
     return EXIT_OK

@@ -18,16 +18,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import NumericRangeError, ResourceLimitError
 from .ewens import f_of, log_f
 from .partitions import Partition, iter_partitions
 
 DIRECT_MAX_M = 60
 SERIES_EXACT_MAX_M = 200
-# exact denominators grow like beta * M * log2(2M) bits; beta = 16 at M = 200
-# takes about 50 s, and an unbounded beta would exhaust memory
+# exact integers grow like beta * M * log2(2M) bits; beta = 16 at M = 200
+# takes about 5 s (2-core Xeon), and an unbounded beta would exhaust memory
 SERIES_EXACT_MAX_BETA_M = 3200
 SERIES_MAX_M = 20000
+_BLOCK = 64  # float kernel columns per call: bounds a long grid's working set
 
 
 def _is_integral(beta) -> bool:
@@ -103,12 +104,10 @@ def W_series_coeffs(beta, M: int, exact: bool | None = None) -> TruncatedSeries:
     j-sum at i*j <= M and the product at degree M reproduces every
     coefficient m <= M without truncation error.  Exact rational mode is
     available for integer beta >= 0 and M <= 200; otherwise coefficients
-    are float64.
+    are float64, for M <= 20000.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
-    if M > SERIES_MAX_M:
-        raise ResourceLimitError(f"W_series_coeffs limited to M <= {SERIES_MAX_M}")
     if exact is None:
         exact = _is_integral(beta) and beta >= 0 and M <= SERIES_EXACT_MAX_M
     if exact:
@@ -121,46 +120,60 @@ def W_series_coeffs(beta, M: int, exact: bool | None = None) -> TruncatedSeries:
             raise ResourceLimitError(
                 f"exact series mode limited to beta * M <= {SERIES_EXACT_MAX_BETA_M}")
         return TruncatedSeries(tuple(_exact_coeffs(int(beta), M)), M, True)
-    arr = _float_coeffs(float(beta), M)
-    return TruncatedSeries(tuple(float(v) for v in arr), M, False)
+    return TruncatedSeries(tuple(_float_product((float(beta),), M)[:, 0].tolist()), M, False)
 
 
 def _exact_coeffs(beta: int, M: int) -> list[Fraction]:
-    acc = [Fraction(0)] * (M + 1)
-    acc[0] = Fraction(1)
+    # a[n] = (2^n n!)^beta W(beta, n) is an integer (f(lam) divides 2^n n!),
+    # and so is each factor's multiplier: no gcd until the final division
+    a = [0] * (M + 1)
+    a[0] = 1
     for i in range(1, M + 1):
-        new = list(acc)
+        new = list(a)
         for j in range(1, M // i + 1):
-            coef = Fraction(1, math.factorial(j) ** beta * (2 * i) ** (beta * j))
             step = i * j
+            w = math.factorial(step) // (math.factorial(j) * i**j) << (step - j)
             for d in range(M - step + 1):
-                if acc[d]:
-                    new[d + step] += acc[d] * coef
-        acc = new
-    return acc
+                if a[d]:
+                    new[d + step] += a[d] * (math.comb(d + step, d) * w) ** beta
+        a = new
+    return [Fraction(a[n], (2**n * math.factorial(n)) ** beta) for n in range(M + 1)]
 
 
-@lru_cache(maxsize=64)
-def _float_coeffs(beta: float, M: int) -> np.ndarray:
-    acc = np.zeros(M + 1)
+def _float_product(betas: Sequence[float], M: int) -> np.ndarray:
+    """Coefficients 0..M of the product for each beta of an ascending grid,
+    as the columns of an (M+1, len(betas)) array.  Column k is bit-identical
+    to a one-beta loop: same rounded products and sums, same j order.  The
+    factor coefficient falls in j and in beta, so columns where it is exactly
+    0 are dropped from the right and the j loop stops once all are dropped
+    (x * 0 = 0 and y + 0 = y for finite y >= 0)."""
+    if M > SERIES_MAX_M:
+        raise ResourceLimitError(f"series kernel limited to degree <= {SERIES_MAX_M}")
+    acc = np.zeros((M + 1, len(betas)))
     acc[0] = 1.0
+    new, buf = np.empty_like(acc), np.empty_like(acc)
     for i in range(1, M + 1):
         log2i = math.log(2.0 * i)
-        jmax = M // i
-        coefs = [math.exp(-beta * (math.lgamma(j + 1) + j * log2i))
-                 for j in range(1, jmax + 1)]
-        new = acc.copy()
-        for j, cf in enumerate(coefs, start=1):
+        np.copyto(new, acc)
+        k = len(betas)
+        for j in range(1, M // i + 1):
+            x = math.lgamma(j + 1) + j * log2i
+            cf = [math.exp(-b * x) for b in betas[:k]]
+            while cf and cf[-1] == 0.0:
+                cf.pop()
+            k = len(cf)
+            if not k:
+                break
             step = i * j
-            new[step:] += acc[: M + 1 - step] * cf
-        acc = new
-    acc.setflags(write=False)
+            np.multiply(acc[:-step, :k], cf, out=buf[:-step, :k])
+            np.add(new[step:, :k], buf[:-step, :k], out=new[step:, :k])
+        acc, new = new, acc
     return acc
 
 
 def W_coefficient(beta: float, m: int) -> float:
     """Float W(beta, m) through the series product (degree-exact)."""
-    return float(_float_coeffs(float(beta), m)[m])
+    return float(_float_product((float(beta),), m)[m, 0])
 
 
 # --- the product value at z = 1 (beta > 1) ------------------------------
@@ -242,6 +255,24 @@ class TailBoundResult:
     grid: tuple[tuple[float, float], ...]
 
 
+def _tail_grid(params, logs: Sequence[float], betas: Sequence[float], m: int) -> list:
+    """[(param, exp(log) * W(beta, m))], every prefactor taken before the
+    kernel runs, then one kernel call per block of distinct ascending betas."""
+    try:
+        pref = [math.exp(v) for v in logs]
+    except OverflowError:
+        pref = [math.inf]
+    if all(map(math.isfinite, pref)):
+        distinct, w = sorted(set(betas)), {}
+        for s in range(0, len(distinct), _BLOCK):
+            block = distinct[s:s + _BLOCK]
+            w.update(zip(block, _float_product(block, m)[m].tolist()))
+        vals = [(float(q), f * w[b]) for q, f, b in zip(params, pref, betas)]
+        if all(math.isfinite(v) for _, v in vals):
+            return vals
+    raise NumericRangeError(f"a tail bound at m={m} is out of float64 range")
+
+
 def default_alpha_grid(points: int = 64, lo: float = 1e-3, hi: float = 8.0) -> tuple[float, ...]:
     return tuple(float(a) for a in np.geomspace(lo, hi, points))
 
@@ -258,10 +289,8 @@ def left_tail_bound(m: int, c: float, alpha_grid: Sequence[float] | None = None)
         raise ValueError("alpha grid entries must be finite and > 0")
     log_m = math.log(m)
     log_w1 = log_W_one_closed(m)
-    grid = []
-    for a in alphas:
-        val = math.exp(c * a * log_m - log_w1) * W_coefficient(a + 1.0, m)
-        grid.append((float(a), float(val)))
+    grid = _tail_grid(alphas, [c * a * log_m - log_w1 for a in alphas],
+                      [a + 1.0 for a in alphas], m)
     best = min(grid, key=lambda t: t[1])
     return TailBoundResult(m, float(c), "alpha", best[0], best[1], tuple(grid))
 
@@ -279,10 +308,7 @@ def right_tail_bound(m: int, c: float, beta) -> TailBoundResult:
         raise ValueError("beta must lie strictly inside (0, 1)")
     log_m = math.log(m)
     log_w1 = log_W_one_closed(m)
-    grid = []
-    for b in betas:
-        val = math.exp(-c * (1.0 - b) * log_m - log_w1) * W_coefficient(b, m)
-        grid.append((b, float(val)))
+    grid = _tail_grid(betas, [-c * (1.0 - b) * log_m - log_w1 for b in betas], betas, m)
     best = min(grid, key=lambda t: t[1])
     return TailBoundResult(m, float(c), "beta", best[0], best[1], tuple(grid))
 
@@ -345,10 +371,7 @@ def asymptotic_diagnostic(beta: float, m_list: Sequence[int]) -> list[Asymptotic
         raise ValueError("asymptotic_diagnostic requires beta > 1")
     if not m_list:
         raise ValueError("m_list must be nonempty")
-    top = max(m_list)
-    if top > SERIES_MAX_M:
-        raise ResourceLimitError(f"asymptotic_diagnostic limited to m <= {SERIES_MAX_M}")
-    coeffs = _float_coeffs(beta, top)
+    coeffs = _float_product((beta,), max(m_list))[:, 0]
     limit = W_at_one(beta).value / 2.0**beta
     rows = []
     for m in m_list:

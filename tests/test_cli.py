@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +198,24 @@ class TestTails:
         assert any(a == left["alpha_argmin"] for a, _ in left["grid"])
         assert 0.0 < env["payload"]["right"]["beta"] < 1.0
 
+    def test_m_above_series_cap_exit_4(self, capsys):
+        code, env = run_json(capsys, ["tails", "20001", "2"])
+        assert code == 4
+        assert env["error"]["code"] == "resource_cap"
+
+    def test_prefactor_overflow_exit_5_before_any_kernel(self, capsys):
+        start = time.perf_counter()
+        code, env = run_json(capsys, ["tails", "1000", "100"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 5
+        assert env["error"]["code"] == "numeric_range"
+        assert "payload" not in env
+
+    def test_bound_overflow_after_kernel_exit_5(self, capsys):
+        code, env = run_json(capsys, ["tails", "100", "-154", "--beta", "0.01"])
+        assert code == 5
+        assert env["error"]["code"] == "numeric_range"
+
 
 class TestSeriesCommand:
     def test_exact_coefficients(self, capsys):
@@ -242,10 +261,14 @@ def _ints(lo, hi):
 
 
 _FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats()).map(repr)
+_ALPHA_GRIDS = st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                        min_size=1, max_size=70).map(lambda xs: ",".join(map(repr, xs)))
 _ARGV = st.one_of(
     st.tuples(st.just("sample"), _ints(-2, 60), _FLOATS, _ints(-1, 200)),
     st.tuples(st.just("tails"), _ints(-2, 60), _FLOATS, st.just("--alpha-points"),
               _ints(-1, 8), st.sampled_from(["--beta", "--t"]), _FLOATS),
+    st.tuples(st.just("tails"), _ints(-2, 300), st.one_of(_FLOATS, st.floats(-4, 4).map(repr)),
+              st.just("--alpha-grid"), _ALPHA_GRIDS),
     st.tuples(st.just("series"), _FLOATS, _ints(-1, 60)),
 )
 
@@ -260,5 +283,5 @@ def test_any_argv_ends_in_strict_json_or_usage_exit(argv):
     except SystemExit as exc:  # argparse rejected the argv
         assert exc.code == 2
         return
-    assert code in (0, 2, 3, 4)
+    assert code in (0, 2, 3, 4, 5)
     json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -2,9 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from coset_ewens.errors import ResourceLimitError
+from coset_ewens import series
+from coset_ewens.errors import NumericRangeError, ResourceLimitError
 from coset_ewens.partitions import partition_count
 from coset_ewens.series import (
     W_at_one,
@@ -17,9 +19,56 @@ from coset_ewens.series import (
     left_tail_bound,
     log_W_one_closed,
     right_tail_bound,
+    _exact_coeffs,
+    _float_product,
     _zeta_tail,
 )
 from coset_ewens.ewens import good_probability_exact
+
+
+def one_beta_product(beta: float, M: int) -> np.ndarray:
+    """Oracle: the generating-function product for one beta, factor by
+    factor, with a fresh array per factor and no skipping."""
+    acc = np.zeros(M + 1)
+    acc[0] = 1.0
+    for i in range(1, M + 1):
+        log2i = math.log(2.0 * i)
+        coefs = [math.exp(-beta * (math.lgamma(j + 1) + j * log2i))
+                 for j in range(1, M // i + 1)]
+        new = acc.copy()
+        for j, cf in enumerate(coefs, start=1):
+            step = i * j
+            new[step:] += acc[: M + 1 - step] * cf
+        acc = new
+    return acc
+
+
+def oracle_W(beta: float, m: int) -> float:
+    return float(one_beta_product(beta, m)[m])
+
+
+def tail_grid(tail: str, m: int, c: float, params, W) -> tuple:
+    """A tail bound's grid point by point, with W(beta, m) taken from W."""
+    log_m, log_w1 = math.log(m), log_W_one_closed(m)
+    if tail == "left":
+        return tuple((a, math.exp(c * a * log_m - log_w1) * W(a + 1.0, m)) for a in params)
+    return tuple((b, math.exp(-c * (1.0 - b) * log_m - log_w1) * W(b, m)) for b in params)
+
+
+def fraction_product(beta: int, M: int) -> list[Fraction]:
+    """Oracle: the same product over exact rationals."""
+    acc = [Fraction(0)] * (M + 1)
+    acc[0] = Fraction(1)
+    for i in range(1, M + 1):
+        new = list(acc)
+        for j in range(1, M // i + 1):
+            coef = Fraction(1, math.factorial(j) ** beta * (2 * i) ** (beta * j))
+            step = i * j
+            for d in range(M - step + 1):
+                if acc[d]:
+                    new[d + step] += acc[d] * coef
+        acc = new
+    return acc
 
 
 class TestWDirect:
@@ -120,6 +169,82 @@ class TestSeriesCoeffs:
             assert abs(root - 1.0) < 0.1
 
 
+class TestBatchedKernel:
+    """The batched float kernel is bit-identical to the one-beta loop."""
+
+    @pytest.mark.parametrize("M, betas", [
+        (0, (0.5, 1.0, 2.0)),
+        (1, (0.5, 1.0, 2.0)),
+        (2, (0.0, 0.5, 1.0, 2.0)),
+        (7, (0.1, 0.5, 0.99, 1.0, 1.5, 3.0, 9.0)),
+        # factor coefficients of beta = 16 and 40 underflow to 0 at small j:
+        # these columns exercise the column drop and the j-loop exit
+        (200, (0.3, 0.9, 1.001, 1.5, 2.5, 9.0, 16.0, 40.0)),
+        (1000, (0.5, 1.5, 9.0)),
+    ])
+    def test_columns_equal_one_beta_loop(self, M, betas):
+        grid = _float_product(betas, M)
+        assert grid.shape == (M + 1, len(betas))
+        for k, b in enumerate(betas):
+            assert np.array_equal(grid[:, k], one_beta_product(b, M)), b
+
+    def test_unsorted_duplicated_grid_in_caller_order(self):
+        alphas = [2.0, 0.5, 7.5, 2.0, 0.01, 0.5, 15.0, 39.0, 1e-9]
+        assert left_tail_bound(150, 2.0, alphas).grid == \
+            tail_grid("left", 150, 2.0, alphas, oracle_W)
+        betas = [0.9, 0.2, 0.999, 0.9, 0.5, 0.2]
+        assert right_tail_bound(150, 3.0, betas).grid == \
+            tail_grid("right", 150, 3.0, betas, oracle_W)
+
+    @pytest.mark.parametrize("count", [65, 129])
+    def test_grid_crossing_the_block_boundary(self, count):
+        rng = random.Random(count)
+        alphas = [rng.uniform(1e-3, 12.0) for _ in range(count)]
+        alphas += alphas[:3]
+        assert left_tail_bound(40, 1.5, alphas).grid == tail_grid("left", 40, 1.5, alphas, oracle_W)
+        betas = [rng.uniform(0.01, 0.99) for _ in range(count)]
+        assert right_tail_bound(40, 1.5, betas).grid == \
+            tail_grid("right", 40, 1.5, betas, oracle_W)
+
+    def test_single_beta_path_is_the_batched_kernel(self):
+        for beta, M in [(1.5, 300), (0.7, 64), (-1.5, 30)]:
+            ts = W_series_coeffs(beta, M, exact=False)
+            assert ts.coefficients == tuple(one_beta_product(beta, M).tolist())
+            assert W_coefficient(beta, M) == float(one_beta_product(beta, M)[M])
+
+    def test_tail_grids_equal_per_point_path(self):
+        alphas = [2.0, 0.01, 7.5, 2.0, 0.3, 1e-9, 15.0]
+        assert left_tail_bound(150, 2.0, alphas).grid == \
+            tail_grid("left", 150, 2.0, alphas, W_coefficient)
+        betas = [0.9, 0.2, 0.999, 0.9, 0.5]
+        assert right_tail_bound(150, 2.0, betas).grid == \
+            tail_grid("right", 150, 2.0, betas, W_coefficient)
+
+    def test_tail_bounds_capped_at_series_max(self):
+        m = series.SERIES_MAX_M + 1
+        with pytest.raises(ResourceLimitError):
+            left_tail_bound(m, 2.0, [1.0])
+        with pytest.raises(ResourceLimitError):
+            right_tail_bound(m, 2.0, 0.5)
+        with pytest.raises(ResourceLimitError):
+            W_coefficient(1.5, m)
+
+    def test_prefactor_overflow_runs_no_kernel(self, monkeypatch):
+        def no_kernel(betas, M):
+            raise AssertionError("kernel ran")
+        monkeypatch.setattr(series, "_float_product", no_kernel)
+        with pytest.raises(NumericRangeError):
+            left_tail_bound(1000, 100.0)
+        with pytest.raises(NumericRangeError):
+            right_tail_bound(1000, -1e6, 0.5)
+
+
+class TestExactIntegerMode:
+    @pytest.mark.parametrize("beta, M", [(0, 120), (1, 120), (2, 120), (3, 120)])
+    def test_equals_fraction_product(self, beta, M):
+        assert _exact_coeffs(beta, M) == fraction_product(beta, M)
+
+
 class TestWAtOne:
     def test_rejects_beta_at_most_one(self):
         with pytest.raises(ValueError):
@@ -204,6 +329,11 @@ class TestRightTailBound:
         for beta in (0.0, 1.0, -0.2, 1.4):
             with pytest.raises(ValueError):
                 right_tail_bound(10, 1.0, beta)
+
+    def test_bound_past_float64_is_numeric_range(self):
+        # the prefactor exp(704.98) is finite, W(0.01, 100) ~ 1.1e8 is not small
+        with pytest.raises(NumericRangeError):
+            right_tail_bound(100, -154.0, 0.01)
 
 
 class TestJensen:
