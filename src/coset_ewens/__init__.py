@@ -7,6 +7,7 @@ from .partitions import (
     Partition,
     enumerate_partitions,
     hardy_ramanujan,
+    iter_counts,
     iter_partitions,
     partition_count,
 )

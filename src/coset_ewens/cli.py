@@ -12,12 +12,14 @@ import argparse
 import io
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
 
 from . import series as series_mod
 from .cosets import (
+    CosetClass,
     canonical_rep,
     coset_class,
     double_coset_size,
@@ -29,8 +31,8 @@ from .cosets import (
     wreath_model,
 )
 from .errors import NumericRangeError, ResourceLimitError
-from .ewens import coset_probability, good_probability_mc
-from .partitions import Partition, enumerate_partitions
+from .ewens import good_probability_mc
+from .partitions import Partition, enumerate_partitions, iter_counts
 from .perm import cycle_string, parse_permutation
 
 EXIT_OK = 0
@@ -132,25 +134,33 @@ def cmd_verify(args) -> dict:
 
 def cmd_double_cosets(args) -> dict:
     m = args.m
-    classes = [coset_class(lam, m).to_json_dict() for lam in enumerate_partitions(m)]
+    h_order = 2**m * math.factorial(m)
+    classes = []
+    for counts, f in iter_counts(m):
+        lam = Partition.trusted(counts, m)
+        record = CosetClass(lam, f, h_order * h_order // f, canonical_rep(lam, m))
+        classes.append(record.to_json_dict())
     return {"m": m, "classes": classes}
 
 
 def cmd_table(args) -> dict:
     m = args.m
+    h_order = 2**m * math.factorial(m)
+    fact_2m = math.factorial(2 * m)
     rows = []
-    total = Fraction(0)
-    for lam in enumerate_partitions(m):
-        prob = coset_probability(lam, m)
-        total += prob
+    mass = 0  # sum of |HxH|, so that the total is one Fraction
+    for counts, f in iter_counts(m):
+        size = h_order * h_order // f
+        prob = Fraction(size, fact_2m)
+        mass += size
         rows.append({
-            "lambda": str(lam),
-            "predicted_order": str(predicted_intersection_order(lam)),
-            "coset_size": str(double_coset_size(lam, m)),
+            "lambda": str(Partition.trusted(counts, m)),
+            "predicted_order": str(f),
+            "coset_size": str(size),
             "probability": _fmt_fraction(prob),
             "probability_float": float(prob),
         })
-    return {"m": m, "rows": rows, "total": _fmt_fraction(total)}
+    return {"m": m, "rows": rows, "total": _fmt_fraction(Fraction(mass, fact_2m))}
 
 
 def cmd_sample(args) -> dict:
@@ -183,11 +193,7 @@ def cmd_tails(args) -> dict:
 
 
 def cmd_series(args) -> dict:
-    beta = args.beta
-    if beta >= 0 and float(beta).is_integer() \
-            and args.max_degree <= series_mod.SERIES_EXACT_MAX_M:
-        beta = int(beta)
-    ts = series_mod.W_series_coeffs(beta, args.max_degree)
+    ts = series_mod.W_series_coeffs(args.beta, args.max_degree)
     coeffs: list = []
     for v in ts.coefficients:
         coeffs.append(_fmt_fraction(v) if ts.exact else v)
@@ -321,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-list", type=str, required=True,
                    help="comma-separated m values")
     p.set_defaults(func=cmd_asymptotics)
+    for p in sub.choices.values():  # argparse would take "-1e3" for an option
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 

@@ -185,13 +185,15 @@ def canonical_rep(lam: Partition, m: int) -> Permutation:
     cycle (2j 2j+2 ... 2j+2k-2)."""
     if lam.m != m:
         raise ValueError(f"partition has weight {lam.m}, expected {m}")
-    cycles = []
-    j = 1
-    for part in lam.parts_desc():
-        if part > 1:
-            cycles.append(tuple(2 * (j + t) for t in range(part)))
-        j += part
-    return from_cycles(2 * m, cycles)
+    images = list(range(2 * m))
+    s = 1  # 0-indexed even symbol 2j of the part's first block j
+    for part, r in reversed(lam.counts):
+        for _ in range(r):
+            end = s + 2 * part
+            images[s:end - 2:2] = range(s + 2, end, 2)
+            images[end - 2] = s
+            s = end
+    return Permutation(tuple(images))
 
 
 def predicted_intersection_order(lam: Partition) -> int:

@@ -193,7 +193,10 @@ def sample_partition(m: int, theta: float, seed: int) -> Partition:
             t = member_table[min(int(y - theta), n - 1)]
             member_table.append(t)
             sizes[t] += 1
-    return Partition.from_parts(sizes)
+    mult: dict[int, int] = {}
+    for size in sizes:
+        mult[size] = mult.get(size, 0) + 1
+    return Partition.trusted(tuple(sorted(mult.items())), m)
 
 
 @lru_cache(maxsize=2)
@@ -278,7 +281,7 @@ def _chunk_hits(m: int, c: float, seed: int, chunk_index: int, count: int,
     for a, b in bounds.tolist():
         key = tuple(zip(sizes[a:b].tolist(), r[a:b].tolist()))
         if key not in band:
-            band[key] = f_leq_threshold(f_of(Partition(key, m)), m, c)
+            band[key] = f_leq_threshold(f_of(Partition.trusted(key, m)), m, c)
         hits += band[key]
     return hits
 

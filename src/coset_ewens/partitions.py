@@ -16,7 +16,7 @@ from .errors import ResourceLimitError
 ENUMERATION_MAX_M = 90
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A multiset of positive parts, stored as ((part, multiplicity), ...)
     with parts strictly ascending and all multiplicities >= 1.
@@ -37,6 +37,14 @@ class Partition:
             total += part * mult
         if total != self.m:
             raise ValueError(f"weight mismatch: parts sum to {total}, m={self.m}")
+
+    @classmethod
+    def trusted(cls, counts: tuple[tuple[int, int], ...], m: int) -> "Partition":
+        """Build without validation, from ``counts`` known canonical and of weight ``m``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "m", m)
+        return self
 
     @classmethod
     def from_parts(cls, parts: Iterable[int]) -> "Partition":
@@ -87,36 +95,56 @@ class Partition:
         return " ".join(f"{p}^{r}" for p, r in self.counts)
 
 
-def iter_partitions(m: int) -> Iterator[Partition]:
-    """Yield all partitions of ``m`` in reverse-lexicographic order on
-    descending part lists ({m} first, {1^m} last).  Streaming counterpart
-    of :func:`enumerate_partitions` without the memory of a full list.
+def iter_counts(m: int) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+    """Yield ``(counts, f)`` for every partition of ``m``, ``counts`` as in
+    :class:`Partition` and f = prod (2i)^{r_i} r_i!, in reverse-lexicographic
+    order on descending part lists ({m} first, {1^m} last).
+
+    ZS1 (Zoghbi & Stojmenovic, IJCM 70, 1998) on a stack of (part,
+    multiplicity) pairs, parts descending: drop the 1s, take one copy of the
+    smallest part p, refill with parts p - 1 and a remainder.  f is carried
+    as prefix products over the stack: O(1) work per step, amortised.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-
-    def rec(remaining: int, maxpart: int, acc: list[int]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield Partition.from_parts(acc)
-            return
-        for first in range(min(maxpart, remaining), 0, -1):
-            acc.append(first)
-            yield from rec(remaining - first, first, acc)
-            acc.pop()
-
-    yield from rec(m, m, [])
-
-
-def enumerate_partitions(m: int) -> list[Partition]:
-    """All p(m) partitions of ``m`` as a list, reverse-lexicographic order."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > ENUMERATION_MAX_M:
         raise ResourceLimitError(
-            f"enumerate_partitions limited to m <= {ENUMERATION_MAX_M} "
-            f"(p({m}) is too large to list); use partition_count or the "
-            "series coefficients instead"
-        )
+            f"partition enumeration limited to m <= {ENUMERATION_MAX_M} (p({m}) is too "
+            "large to list); use partition_count or the series coefficients instead")
+    # fac[p, r] = (2p)^r r!, the factor of r parts of size p
+    fac = {(p, r): math.prod(range(2 * p, 2 * p * r + 1, 2 * p))
+           for p in range(1, m + 1) for r in range(1, m // p + 1)}
+    stack, pref = ([(m, 1)], [1, 2 * m]) if m else ([], [1])  # pref[k]: f of stack[:k]
+    while True:
+        yield tuple(stack[::-1]), pref[-1]
+        if not stack or stack[0][0] == 1:  # m = 0, or {1^m}: the last partition
+            return
+        p, r = stack.pop()
+        pref.pop()
+        rem = 0
+        if p == 1:
+            rem = r
+            p, r = stack.pop()
+            pref.pop()
+        if r > 1:
+            stack.append((p, r - 1))
+            pref.append(pref[-1] * fac[p, r - 1])
+        k, rem = divmod(rem + p, p - 1)
+        stack.append((p - 1, k))
+        pref.append(pref[-1] * fac[p - 1, k])
+        if rem:
+            stack.append((rem, 1))
+            pref.append(pref[-1] * 2 * rem)
+
+
+def iter_partitions(m: int) -> Iterator[Partition]:
+    """Stream the partitions of ``m`` in the order of :func:`iter_counts`."""
+    for counts, _ in iter_counts(m):
+        yield Partition.trusted(counts, m)
+
+
+def enumerate_partitions(m: int) -> list[Partition]:
+    """All p(m) partitions of ``m`` as a list, in the order of :func:`iter_counts`."""
     return list(iter_partitions(m))
 
 

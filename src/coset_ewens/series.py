@@ -19,8 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NumericRangeError, ResourceLimitError
-from .ewens import f_of, log_f
-from .partitions import Partition, iter_partitions
+from .partitions import iter_counts, partition_count
 
 DIRECT_MAX_M = 60
 SERIES_EXACT_MAX_M = 200
@@ -31,40 +30,54 @@ SERIES_MAX_M = 20000
 _BLOCK = 64  # float kernel columns per call: bounds a long grid's working set
 
 
-def _is_integral(beta) -> bool:
-    if isinstance(beta, int):
-        return True
-    if isinstance(beta, Fraction):
-        return beta.denominator == 1
-    return False
+def _is_whole(beta) -> bool:
+    """A nonnegative whole number, by value: 1, 1.0 and Fraction(1) alike."""
+    if isinstance(beta, float):
+        return beta >= 0 and beta.is_integer()
+    return isinstance(beta, (int, Fraction)) and beta >= 0 and beta == int(beta)
 
 
 def W_direct(beta, m: int):
     """sum over partitions of m of f(lam)^{-beta}, by direct enumeration.
 
-    Exact rational for a nonnegative integer beta (pass an int or an
-    integral Fraction), float otherwise.  Capped at m <= 60.
+    An exact Fraction when beta is a nonnegative whole number by value
+    (1, 1.0 and Fraction(1) alike): one integer sum over the common
+    denominator (2^m m!)^beta, which every f divides.  Else a float, the
+    fsum of exp(-beta log f).  Capped at m <= 60, and exact mode, like the
+    exact series, at beta * m <= 3200.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > DIRECT_MAX_M:
         raise ResourceLimitError(f"W_direct limited to m <= {DIRECT_MAX_M}")
-    if _is_integral(beta) and beta >= 0:
+    if _is_whole(beta):
+        if beta * m > SERIES_EXACT_MAX_BETA_M:
+            raise ResourceLimitError(
+                f"exact W_direct limited to beta * m <= {SERIES_EXACT_MAX_BETA_M}")
         b = int(beta)
-        return sum((Fraction(1, f_of(lam) ** b) for lam in iter_partitions(m)),
-                   Fraction(0))
-    b = float(beta)
-    return math.fsum(math.exp(-b * log_f(lam)) for lam in iter_partitions(m))
+        top = 2**m * math.factorial(m)
+        return Fraction(sum((top // f) ** b for _, f in iter_counts(m)), top**b)
+    return math.fsum(map(math.exp, (-float(beta) * _log_f(m)).tolist()))
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=4)
+def _log_f(m: int) -> np.ndarray:
+    """log f(lam) of every partition of m, each bit-identical to
+    :func:`coset_ewens.ewens.log_f`: the same terms, summed in the same order."""
+    term = {(p, r): r * math.log(2 * p) + math.lgamma(r + 1)
+            for p in range(1, m + 1) for r in range(1, m // p + 1)}
+    get = term.__getitem__
+    return np.fromiter((sum(map(get, counts)) for counts, _ in iter_counts(m)),
+                       dtype=np.float64, count=partition_count(m))
+
+
 def log_W_direct(beta: float, m: int) -> float:
     """log W(beta, m) by a log-sum-exp over partitions (underflow-safe)."""
     if m > DIRECT_MAX_M:
         raise ResourceLimitError(f"log_W_direct limited to m <= {DIRECT_MAX_M}")
-    logs = [-beta * log_f(lam) for lam in iter_partitions(m)]
-    top = max(logs)
-    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
+    logs = -beta * _log_f(m)
+    top = float(logs.max())
+    return top + math.log(math.fsum(map(math.exp, (logs - top).tolist())))
 
 
 def W_one_closed(m: int) -> Fraction:
@@ -103,15 +116,15 @@ def W_series_coeffs(beta, M: int, exact: bool | None = None) -> TruncatedSeries:
     Factor i only contributes degrees >= i, so cutting every factor's
     j-sum at i*j <= M and the product at degree M reproduces every
     coefficient m <= M without truncation error.  Exact rational mode is
-    available for integer beta >= 0 and M <= 200; otherwise coefficients
-    are float64, for M <= 20000.
+    the default for a nonnegative whole beta (by value, as in W_direct)
+    and M <= 200; otherwise coefficients are float64, for M <= 20000.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
     if exact is None:
-        exact = _is_integral(beta) and beta >= 0 and M <= SERIES_EXACT_MAX_M
+        exact = _is_whole(beta) and M <= SERIES_EXACT_MAX_M
     if exact:
-        if not (_is_integral(beta) and beta >= 0):
+        if not _is_whole(beta):
             raise ValueError("exact mode requires a nonnegative integer beta")
         if M > SERIES_EXACT_MAX_M:
             raise ResourceLimitError(
@@ -140,13 +153,18 @@ def _exact_coeffs(beta: int, M: int) -> list[Fraction]:
     return [Fraction(a[n], (2**n * math.factorial(n)) ** beta) for n in range(M + 1)]
 
 
+_SERIES_RANGE = "series coefficients through degree {} are out of float64 range"
+
+
+@np.errstate(over="ignore")  # an overflow to inf is reported as NumericRangeError
 def _float_product(betas: Sequence[float], M: int) -> np.ndarray:
     """Coefficients 0..M of the product for each beta of an ascending grid,
     as the columns of an (M+1, len(betas)) array.  Column k is bit-identical
     to a one-beta loop: same rounded products and sums, same j order.  The
     factor coefficient falls in j and in beta, so columns where it is exactly
     0 are dropped from the right and the j loop stops once all are dropped
-    (x * 0 = 0 and y + 0 = y for finite y >= 0)."""
+    (x * 0 = 0 and y + 0 = y for finite y >= 0).  A coefficient beyond
+    float64 (a negative beta) raises NumericRangeError."""
     if M > SERIES_MAX_M:
         raise ResourceLimitError(f"series kernel limited to degree <= {SERIES_MAX_M}")
     acc = np.zeros((M + 1, len(betas)))
@@ -158,7 +176,10 @@ def _float_product(betas: Sequence[float], M: int) -> np.ndarray:
         k = len(betas)
         for j in range(1, M // i + 1):
             x = math.lgamma(j + 1) + j * log2i
-            cf = [math.exp(-b * x) for b in betas[:k]]
+            try:
+                cf = [math.exp(-b * x) for b in betas[:k]]
+            except OverflowError:
+                raise NumericRangeError(_SERIES_RANGE.format(M)) from None
             while cf and cf[-1] == 0.0:
                 cf.pop()
             k = len(cf)
@@ -168,6 +189,8 @@ def _float_product(betas: Sequence[float], M: int) -> np.ndarray:
             np.multiply(acc[:-step, :k], cf, out=buf[:-step, :k])
             np.add(new[step:, :k], buf[:-step, :k], out=new[step:, :k])
         acc, new = new, acc
+    if not np.isfinite(acc).all():
+        raise NumericRangeError(_SERIES_RANGE.format(M))
     return acc
 
 

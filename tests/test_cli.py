@@ -182,6 +182,19 @@ class TestCommonFlags:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("e_form, plain, argv", [
+        ("-1e0", "-1", ["sample", "50", "{}", "100"]),
+        ("-1e3", "-1000", ["tails", "100", "{}", "--alpha-points", "4"]),
+        ("-2.5E-1", "-0.25", ["series", "{}", "8"]),
+        ("-.2e1", "-2", ["asymptotics", "{}", "--m-list", "50"]),
+    ])
+    def test_negative_e_notation_positional(self, capsys, e_form, plain, argv):
+        code, env = run_json(capsys, [a.format(e_form) for a in argv])
+        code_plain, env_plain = run_json(capsys, [a.format(plain) for a in argv])
+        assert env["parameters"] == env_plain["parameters"]
+        assert (code, env.get("payload"), env.get("error")) == \
+            (code_plain, env_plain.get("payload"), env_plain.get("error"))
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_alpha_grid_exit_2(self, capsys, value):
         code, env = run_json(capsys, ["tails", "100", "2", "--alpha-grid", f"1,{value}"])
@@ -240,6 +253,16 @@ class TestSeriesCommand:
         code, env = run_json(capsys, ["series", "1e300", "5"])
         assert code == 4
         assert env["error"]["code"] == "resource_cap"
+
+    @pytest.mark.parametrize("argv", [
+        ["series", "-3", "300"],        # a factor coefficient overflows math.exp
+        ["series", "-0.0486", "2000"],  # every factor is finite, a sum overflows in numpy
+    ])
+    def test_negative_beta_overflow_exit_5(self, capsys, argv):
+        code, env = run_json(capsys, argv)
+        assert code == 5
+        assert env["error"]["code"] == "numeric_range"
+        assert "payload" not in env
 
 
 class TestAsymptotics:

@@ -206,6 +206,16 @@ class TestCanonicalRep:
         with pytest.raises(ValueError):
             canonical_rep(Partition.parse("2^1"), 3)
 
+    def test_equals_cycle_construction(self):
+        # oracle: part k on blocks j..j+k-1 as the even cycle (2j 2j+2 ... 2j+2k-2)
+        for m in range(1, 11):
+            for lam in enumerate_partitions(m):
+                cycles, j = [], 1
+                for part in lam.parts_desc():
+                    cycles.append(tuple(2 * (j + t) for t in range(part)))
+                    j += part
+                assert canonical_rep(lam, m) == from_cycles(2 * m, cycles)
+
 
 class TestOrderFormulas:
     def test_full_group(self):

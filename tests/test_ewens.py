@@ -174,6 +174,14 @@ class TestSamplePartition:
     def test_deterministic(self):
         assert sample_partition(100, 0.5, 42) == sample_partition(100, 0.5, 42)
 
+    def test_result_is_canonical(self):
+        # built unvalidated; the validating constructor must accept it
+        for m, seed in ((1, 0), (7, 3), (100, 42), (500, 9)):
+            lam = sample_partition(m, 0.5, seed)
+            assert Partition(lam.counts, lam.m) == lam
+            assert Partition.from_parts(lam.parts_desc()) == lam
+            assert lam.m == m
+
     def test_m2_frequency(self):
         two = Partition.parse("2^1")
         hits = sum(sample_partition(2, 0.5, 1000 + k) == two for k in range(100000))

@@ -26,6 +26,8 @@ COMMANDS = [
     "sample 8 1.3333333333333333 5000 --seed 5",
     "table 6",
     "double-cosets 6",
+    "table 20",
+    "double-cosets 20",
     "verify 3",
     "series 1 30",
     "series 1.5 200",

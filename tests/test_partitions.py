@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coset_ewens.cosets import predicted_intersection_order
 from coset_ewens.errors import ResourceLimitError
 from coset_ewens.partitions import (
     HARDY_RAMANUJAN_MAX_M,
     Partition,
     enumerate_partitions,
     hardy_ramanujan,
+    iter_counts,
     partition_count,
 )
 
@@ -25,6 +27,46 @@ def brute_partition_lists(m, maxpart=None):
         for rest in brute_partition_lists(m - first, first):
             out.append([first] + rest)
     return out
+
+
+def recursive_partitions(m):
+    """Oracle: the recursive generator the multiplicity-vector enumerator
+    replaced, each partition built and validated by ``from_parts``, in
+    reverse-lexicographic order on descending part lists."""
+
+    def rec(remaining, maxpart, acc):
+        if remaining == 0:
+            yield Partition.from_parts(acc)
+            return
+        for first in range(min(maxpart, remaining), 0, -1):
+            acc.append(first)
+            yield from rec(remaining - first, first, acc)
+            acc.pop()
+
+    yield from rec(m, m, [])
+
+
+class TestMultiplicityEnumerator:
+    def test_same_counts_in_same_order_as_recursive_oracle(self):
+        for m in range(31):
+            want = [lam.counts for lam in recursive_partitions(m)]
+            assert [counts for counts, _ in iter_counts(m)] == want
+            assert enumerate_partitions(m) == list(recursive_partitions(m))
+
+    @pytest.mark.parametrize("m", [40, 45, 60])
+    def test_count_equals_partition_count(self, m):
+        assert sum(1 for _ in iter_counts(m)) == partition_count(m)
+
+    def test_carried_f_is_the_intersection_order(self):
+        for m in range(26):
+            for counts, f in iter_counts(m):
+                assert f == predicted_intersection_order(Partition(counts, m))
+
+    def test_rejects_bad_m(self):
+        with pytest.raises(ValueError):
+            next(iter_counts(-1))
+        with pytest.raises(ResourceLimitError):
+            next(iter_counts(91))
 
 
 class TestEnumeration:

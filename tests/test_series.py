@@ -7,7 +7,7 @@ import pytest
 
 from coset_ewens import series
 from coset_ewens.errors import NumericRangeError, ResourceLimitError
-from coset_ewens.partitions import partition_count
+from coset_ewens.partitions import enumerate_partitions, partition_count
 from coset_ewens.series import (
     W_at_one,
     W_coefficient,
@@ -17,13 +17,14 @@ from coset_ewens.series import (
     asymptotic_diagnostic,
     jensen_check,
     left_tail_bound,
+    log_W_direct,
     log_W_one_closed,
     right_tail_bound,
     _exact_coeffs,
     _float_product,
     _zeta_tail,
 )
-from coset_ewens.ewens import good_probability_exact
+from coset_ewens.ewens import f_of, good_probability_exact, log_f
 
 
 def one_beta_product(beta: float, M: int) -> np.ndarray:
@@ -71,6 +72,24 @@ def fraction_product(beta: int, M: int) -> list[Fraction]:
     return acc
 
 
+def fraction_W(beta: int, m: int) -> Fraction:
+    """Oracle: one Fraction per partition."""
+    return sum((Fraction(1, f_of(lam) ** beta) for lam in enumerate_partitions(m)), Fraction(0))
+
+
+def fsum_W(beta: float, m: int) -> float:
+    """Oracle: exp(-beta log f) per partition, summed by fsum (exactly
+    rounded, so the enumeration order does not matter)."""
+    return math.fsum(math.exp(-beta * log_f(lam)) for lam in enumerate_partitions(m))
+
+
+def logsumexp_W(beta: float, m: int) -> float:
+    """Oracle: log W(beta, m) as a log-sum-exp over partitions."""
+    logs = [-beta * log_f(lam) for lam in enumerate_partitions(m)]
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
+
+
 class TestWDirect:
     def test_beta_zero_is_partition_count(self):
         assert W_direct(0, 5) == 7
@@ -88,6 +107,37 @@ class TestWDirect:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             W_direct(1, 61)
+        for beta, m in ((1e300, 40), (10**6, 40), (Fraction(81), 40), (801.0, 4)):
+            with pytest.raises(ResourceLimitError):  # beta * m > 3200
+                W_direct(beta, m)
+        assert W_direct(800, 4) > 0
+
+    def test_exact_equals_fraction_oracle(self):
+        for beta in (0, 1, 2, 3):
+            for m in range(31):
+                assert W_direct(beta, m) == fraction_W(beta, m)
+
+    def test_float_bit_identical_to_fsum_oracle(self):
+        for beta in (0.3, 0.5, 1.5, 2.75):
+            for m in range(31):
+                assert W_direct(beta, m) == fsum_W(beta, m)
+
+    def test_log_bit_identical_to_logsumexp_oracle(self):
+        for beta in (0.5, 1.5, 3.2):
+            for m in range(31):
+                assert log_W_direct(beta, m) == logsumexp_W(beta, m)
+
+    def test_type_follows_value(self):
+        for m in (0, 5, 12):
+            assert W_direct(1.0, m) == W_direct(1, m) == W_direct(Fraction(1), m)
+            assert W_direct(0.0, m) == partition_count(m)
+            for beta in (1.0, 2.0, Fraction(2), 3):
+                assert isinstance(W_direct(beta, m), Fraction)
+            for beta in (0.5, 2.5, -1.0, Fraction(1, 2)):
+                assert isinstance(W_direct(beta, m), float)
+        assert W_series_coeffs(2.0, 12) == W_series_coeffs(Fraction(2), 12) \
+            == W_series_coeffs(2, 12)
+        assert W_series_coeffs(2.0, 12).exact
 
 
 class TestWOneClosed:
