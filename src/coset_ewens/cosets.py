@@ -18,6 +18,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import ResourceLimitError
@@ -45,8 +46,9 @@ def _check_degree(g: Permutation, m: int) -> None:
         raise ValueError(f"degree mismatch: permutation has degree {g.n}, expected {2 * m}")
 
 
+@lru_cache(maxsize=8)
 def base_involution(m: int) -> Permutation:
-    """h0 = (1 2)(3 4)...(2m-1 2m)."""
+    """h0 = (1 2)(3 4)...(2m-1 2m), built once per m and shared (it is frozen)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     return from_cycles(2 * m, [(2 * k - 1, 2 * k) for k in range(1, m + 1)])

@@ -39,33 +39,25 @@ def f_of(lam: Partition) -> int:
     return predicted_intersection_order(lam)
 
 
-@lru_cache(maxsize=256)
-def _rising_factorial(theta: Fraction, m: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(m):
-        out *= theta + j
-    return out
-
-
-def _as_positive_fraction(theta) -> Fraction:
-    th = Fraction(theta)
-    if th <= 0:
-        raise ValueError("theta must be > 0")
-    return th
-
-
 def esf_density(lam: Partition, theta) -> Fraction:
     """Exact Ewens density at bias ``theta``:
     m!/(theta (theta+1)...(theta+m-1)) * prod (theta/i)^{r_i} / r_i!.
+
+    With theta = p/q this is one Fraction of two integer products:
+    m! q^m prod p^{r_i} over prod_{j<m} (p + jq) * prod (qi)^{r_i} r_i!.
     """
-    th = _as_positive_fraction(theta)
-    m = lam.m
+    th, m = Fraction(theta), lam.m
+    if th <= 0:
+        raise ValueError("theta must be > 0")
     if m < 1:
         raise ValueError("lam must have weight >= 1")
-    out = Fraction(math.factorial(m)) / _rising_factorial(th, m)
+    p, q = th.numerator, th.denominator
+    num = math.factorial(m) * q**m
+    den = math.prod(range(p, p + m * q, q))
     for part, r in lam.counts:
-        out *= (th / part) ** r / math.factorial(r)
-    return out
+        num *= p**r
+        den *= (q * part) ** r * math.factorial(r)
+    return Fraction(num, den)
 
 
 def coset_probability(lam: Partition, m: int) -> Fraction:

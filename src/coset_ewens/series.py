@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -156,42 +157,49 @@ def _exact_coeffs(beta: int, M: int) -> list[Fraction]:
 _SERIES_RANGE = "series coefficients through degree {} are out of float64 range"
 
 
-@np.errstate(over="ignore")  # an overflow to inf is reported as NumericRangeError
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan: NumericRangeError
 def _float_product(betas: Sequence[float], M: int) -> np.ndarray:
-    """Coefficients 0..M of the product for each beta of an ascending grid,
-    as the columns of an (M+1, len(betas)) array.  Column k is bit-identical
-    to a one-beta loop: same rounded products and sums, same j order.  The
-    factor coefficient falls in j and in beta, so columns where it is exactly
-    0 are dropped from the right and the j loop stops once all are dropped
-    (x * 0 = 0 and y + 0 = y for finite y >= 0).  A coefficient beyond
-    float64 (a negative beta) raises NumericRangeError."""
+    """Coefficients 0..M of the product for each beta, as the columns of an
+    (M+1, len(betas)) array, by exp-of-log (Knuth, TAOCP Vol. 2, 4.7): u is the
+    log-series of I_beta(z / 2^beta), j u_j = j c_j - sum_{k<j} k u_k c_{j-k}
+    with c_j = (j!)^{-beta} 2^{-beta j} = 0 for j >= jc, stopped once jc - 1 u_j
+    in a row are 0 for every beta (all later u_j are then 0); k L_k = sum_{ij=k}
+    j u_j i^{1 - beta j}; n a_n = sum_{k<=n} k L_k a_{n-k}.  Each beta is a row
+    reduced along its own axis, without BLAS: its bits do not depend on the grid."""
     if M > SERIES_MAX_M:
         raise ResourceLimitError(f"series kernel limited to degree <= {SERIES_MAX_M}")
-    acc = np.zeros((M + 1, len(betas)))
-    acc[0] = 1.0
-    new, buf = np.empty_like(acc), np.empty_like(acc)
-    for i in range(1, M + 1):
-        log2i = math.log(2.0 * i)
-        np.copyto(new, acc)
-        k = len(betas)
-        for j in range(1, M // i + 1):
-            x = math.lgamma(j + 1) + j * log2i
-            try:
-                cf = [math.exp(-b * x) for b in betas[:k]]
-            except OverflowError:
-                raise NumericRangeError(_SERIES_RANGE.format(M)) from None
-            while cf and cf[-1] == 0.0:
-                cf.pop()
-            k = len(cf)
-            if not k:
-                break
-            step = i * j
-            np.multiply(acc[:-step, :k], cf, out=buf[:-step, :k])
-            np.add(new[step:, :k], buf[:-step, :k], out=new[step:, :k])
-        acc, new = new, acc
-    if not np.isfinite(acc).all():
+    B = len(betas)
+    crev, ju, tmp = np.zeros((B, M + 1)), np.zeros((B, M + 1)), np.empty((B, M + 1))
+    try:
+        jc = 0  # crev[:, M - j] = c_j, nonzero for j < jc
+        while jc <= M and any(row := [math.exp(-b * (math.lgamma(jc + 1) + jc * math.log(2.0)))
+                                      for b in betas]):
+            crev[:, M - jc] = row
+            jc += 1
+        J = zeros = 0  # ju[:, j] = j u_j
+        while J < M and zeros < jc - 1:
+            J += 1
+            np.multiply(ju[:, 1:J], crev[:, M - J + 1:M], out=tmp[:, :J - 1])
+            ju[:, J] = J * crev[:, M - J] - tmp[:, :J - 1].sum(axis=1)
+            zeros = 0 if ju[:, J].any() else zeros + 1
+        kL = crev  # the spent buffers are reused
+        kL.fill(0.0)
+        for j in range(1, J - zeros + 1):
+            n = M // j
+            w = np.fromiter(chain.from_iterable(map(math.pow, range(1, n + 1), repeat(1.0 - b * j))
+                                                for b in betas), float, B * n).reshape(B, n)
+            w *= ju[:, j, None]  # in place, to hold no second (B, n) array
+            kL[:, j::j] += w
+    except OverflowError:
+        raise NumericRangeError(_SERIES_RANGE.format(M)) from None
+    rev = ju  # rev[:, M - n] = a_n, written before it is read
+    rev[:, M] = 1.0
+    for n in range(1, M + 1):
+        np.multiply(kL[:, 1:n + 1], rev[:, M - n + 1:], out=tmp[:, :n])
+        rev[:, M - n] = tmp[:, :n].sum(axis=1) / n
+    if not np.isfinite(rev).all():
         raise NumericRangeError(_SERIES_RANGE.format(M))
-    return acc
+    return rev[:, ::-1].T
 
 
 def W_coefficient(beta: float, m: int) -> float:
@@ -394,10 +402,11 @@ def asymptotic_diagnostic(beta: float, m_list: Sequence[int]) -> list[Asymptotic
         raise ValueError("asymptotic_diagnostic requires beta > 1")
     if not m_list:
         raise ValueError("m_list must be nonempty")
-    coeffs = _float_product((beta,), max(m_list))[:, 0]
+    # keep only the listed degrees: the kernel's arrays are freed before W_at_one
+    coeffs = _float_product((beta,), max(m_list))[list(m_list), 0].tolist()
     limit = W_at_one(beta).value / 2.0**beta
     rows = []
-    for m in m_list:
-        scaled = m**beta * float(coeffs[m])
+    for m, w in zip(m_list, coeffs):
+        scaled = m**beta * w
         rows.append(AsymptoticRow(m, scaled, limit, abs(scaled / limit - 1.0)))
     return rows

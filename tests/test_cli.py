@@ -255,8 +255,8 @@ class TestSeriesCommand:
         assert env["error"]["code"] == "resource_cap"
 
     @pytest.mark.parametrize("argv", [
-        ["series", "-3", "300"],        # a factor coefficient overflows math.exp
-        ["series", "-0.0486", "2000"],  # every factor is finite, a sum overflows in numpy
+        ["series", "-3", "300"],        # a coefficient (j!)^3 8^j of I_beta overflows math.exp
+        ["series", "-0.0486", "2000"],  # every coefficient is finite, the log-series is not
     ])
     def test_negative_beta_overflow_exit_5(self, capsys, argv):
         code, env = run_json(capsys, argv)

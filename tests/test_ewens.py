@@ -27,7 +27,25 @@ from coset_ewens.ewens import (
 HALF = Fraction(1, 2)
 
 
+def rising_factorial_esf(lam: Partition, theta) -> Fraction:
+    """Oracle: the Ewens density built Fraction by Fraction, as written:
+    m!/(theta (theta+1)...(theta+m-1)) * prod (theta/i)^{r_i} / r_i!."""
+    th, m = Fraction(theta), lam.m
+    out = Fraction(math.factorial(m))
+    for j in range(m):
+        out /= th + j
+    for part, r in lam.counts:
+        out *= (th / part) ** r / math.factorial(r)
+    return out
+
+
 class TestEsfDensity:
+    def test_equals_fraction_oracle(self):
+        for theta in (HALF, 1, Fraction(3, 2), Fraction(2, 7), 5, Fraction(22, 3), 0.25):
+            for m in range(1, 19):
+                for lam in enumerate_partitions(m):
+                    assert esf_density(lam, theta) == rising_factorial_esf(lam, theta)
+
     def test_m1(self):
         assert esf_density(Partition.parse("1^1"), HALF) == 1
 

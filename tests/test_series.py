@@ -56,6 +56,21 @@ def tail_grid(tail: str, m: int, c: float, params, W) -> tuple:
     return tuple((b, math.exp(-c * (1.0 - b) * log_m - log_w1) * W(b, m)) for b in params)
 
 
+REL = 1e-13  # the float kernel against the product oracle and the exact mode
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= REL * np.abs(want)), \
+        float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+def assert_grid_close(got, want):
+    assert [p for p, _ in got] == [p for p, _ in want]
+    assert_close([v for _, v in got], [v for _, v in want])
+
+
 def fraction_product(beta: int, M: int) -> list[Fraction]:
     """Oracle: the same product over exact rationals."""
     acc = [Fraction(0)] * (M + 1)
@@ -220,15 +235,16 @@ class TestSeriesCoeffs:
 
 
 class TestBatchedKernel:
-    """The batched float kernel is bit-identical to the one-beta loop."""
+    """The exp-of-log float kernel: within 1e-13 of the product oracle, and
+    each batched column bit-identical to its own one-beta call."""
 
     @pytest.mark.parametrize("M, betas", [
         (0, (0.5, 1.0, 2.0)),
         (1, (0.5, 1.0, 2.0)),
         (2, (0.0, 0.5, 1.0, 2.0)),
         (7, (0.1, 0.5, 0.99, 1.0, 1.5, 3.0, 9.0)),
-        # factor coefficients of beta = 16 and 40 underflow to 0 at small j:
-        # these columns exercise the column drop and the j-loop exit
+        # the log-series coefficients of beta = 16 and 40 underflow at small j:
+        # these columns exercise the early stop of the log-series recurrence
         (200, (0.3, 0.9, 1.001, 1.5, 2.5, 9.0, 16.0, 40.0)),
         (1000, (0.5, 1.5, 9.0)),
     ])
@@ -236,31 +252,61 @@ class TestBatchedKernel:
         grid = _float_product(betas, M)
         assert grid.shape == (M + 1, len(betas))
         for k, b in enumerate(betas):
-            assert np.array_equal(grid[:, k], one_beta_product(b, M)), b
+            assert_close(grid[:, k], one_beta_product(b, M))
+            assert np.array_equal(grid[:, k], _float_product((b,), M)[:, 0]), b
+        assert grid.tobytes() == _float_product(betas, M).tobytes()
+
+    def test_exact_mode_agreement(self):
+        for beta in range(5):
+            exact = _exact_coeffs(beta, 200)
+            got = _float_product((float(beta),), 200)[:, 0].tolist()
+            for g, e in zip(got, exact):
+                assert abs(Fraction(g) - e) <= Fraction(REL) * e, beta
+
+    @pytest.mark.parametrize("beta, M", [
+        (-1.5, 30),
+        # W(-0.5, 2000) >= (2^2000 2000!)^{1/2} ~ 1e3169 is out of float64 range
+        (-0.5, 200),
+        (0.0, 2000), (0.3, 2000), (0.9, 2000), (1.001, 2000), (1.5, 2000),
+        (2.5, 2000), (9.0, 2000), (16.0, 2000), (40.0, 2000),
+    ])
+    def test_product_oracle_agreement(self, beta, M):
+        assert_close(_float_product((beta,), M)[:, 0], one_beta_product(beta, M))
+
+    def test_out_of_range_for_the_oracle_too(self):
+        with pytest.raises(OverflowError):
+            one_beta_product(-0.5, 2000)
+        with pytest.raises(NumericRangeError):
+            _float_product((-0.5,), 2000)
 
     def test_unsorted_duplicated_grid_in_caller_order(self):
         alphas = [2.0, 0.5, 7.5, 2.0, 0.01, 0.5, 15.0, 39.0, 1e-9]
-        assert left_tail_bound(150, 2.0, alphas).grid == \
-            tail_grid("left", 150, 2.0, alphas, oracle_W)
+        assert_grid_close(left_tail_bound(150, 2.0, alphas).grid,
+                          tail_grid("left", 150, 2.0, alphas, oracle_W))
         betas = [0.9, 0.2, 0.999, 0.9, 0.5, 0.2]
-        assert right_tail_bound(150, 3.0, betas).grid == \
-            tail_grid("right", 150, 3.0, betas, oracle_W)
+        assert_grid_close(right_tail_bound(150, 3.0, betas).grid,
+                          tail_grid("right", 150, 3.0, betas, oracle_W))
 
     @pytest.mark.parametrize("count", [65, 129])
     def test_grid_crossing_the_block_boundary(self, count):
         rng = random.Random(count)
         alphas = [rng.uniform(1e-3, 12.0) for _ in range(count)]
         alphas += alphas[:3]
-        assert left_tail_bound(40, 1.5, alphas).grid == tail_grid("left", 40, 1.5, alphas, oracle_W)
+        left = left_tail_bound(40, 1.5, alphas).grid
+        assert left == tail_grid("left", 40, 1.5, alphas, W_coefficient)
+        assert_grid_close(left, tail_grid("left", 40, 1.5, alphas, oracle_W))
         betas = [rng.uniform(0.01, 0.99) for _ in range(count)]
-        assert right_tail_bound(40, 1.5, betas).grid == \
-            tail_grid("right", 40, 1.5, betas, oracle_W)
+        right = right_tail_bound(40, 1.5, betas).grid
+        assert right == tail_grid("right", 40, 1.5, betas, W_coefficient)
+        assert_grid_close(right, tail_grid("right", 40, 1.5, betas, oracle_W))
 
     def test_single_beta_path_is_the_batched_kernel(self):
         for beta, M in [(1.5, 300), (0.7, 64), (-1.5, 30)]:
             ts = W_series_coeffs(beta, M, exact=False)
-            assert ts.coefficients == tuple(one_beta_product(beta, M).tolist())
-            assert W_coefficient(beta, M) == float(one_beta_product(beta, M)[M])
+            kernel = _float_product((beta,), M)[:, 0]
+            assert ts.coefficients == tuple(kernel.tolist())
+            assert W_coefficient(beta, M) == kernel[M]
+            assert_close(ts.coefficients, one_beta_product(beta, M))
 
     def test_tail_grids_equal_per_point_path(self):
         alphas = [2.0, 0.01, 7.5, 2.0, 0.3, 1e-9, 15.0]
