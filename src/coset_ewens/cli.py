@@ -90,9 +90,11 @@ def cmd_verify(args) -> dict:
     m = args.m
     if m > 5:
         raise ValueError("verify is limited to m <= 5")
+    lams = enumerate_partitions(m)
+    sizes = [double_coset_size(lam, m) for lam in lams]
     classes = []
     all_ok = True
-    for lam in enumerate_partitions(m):
+    for lam in lams:
         rep = canonical_rep(lam, m)
         subgroup = intersection_subgroup(rep, m)
         predicted = predicted_intersection_order(lam)
@@ -111,19 +113,14 @@ def cmd_verify(args) -> dict:
     payload: dict = {"m": m, "classes": classes}
     if m <= 4:
         orbits = enumerate_double_cosets(m)
-        expected_sizes = sorted(double_coset_size(lam, m)
-                                for lam in enumerate_partitions(m))
-        got_sizes = sorted(o.size for o in orbits)
-        orbit_ok = (len(orbits) == len(enumerate_partitions(m))
-                    and expected_sizes == got_sizes)
+        orbit_ok = sorted(sizes) == sorted(o.size for o in orbits)
         all_ok = all_ok and orbit_ok
         payload["orbits"] = {
             "count": len(orbits),
-            "expected_count": len(enumerate_partitions(m)),
+            "expected_count": len(lams),
             "sizes_ok": orbit_ok,
         }
-    total = sum(double_coset_size(lam, m) for lam in enumerate_partitions(m))
-    mass_ok = total == math.factorial(2 * m)
+    mass_ok = sum(sizes) == math.factorial(2 * m)
     all_ok = all_ok and mass_ok
     payload["mass_identity_ok"] = mass_ok
     payload["all_ok"] = all_ok
@@ -213,7 +210,7 @@ def cmd_asymptotics(args) -> dict:
         "beta": args.beta,
         "product_at_one": w1.value,
         "product_error_bound": w1.error_bound,
-        "limit": rows[0].limit if rows else None,
+        "limit": rows[0].limit,
         "rows": [
             {"m": r.m, "scaled": r.scaled, "relative_deviation": r.relative_deviation}
             for r in rows

@@ -3,13 +3,15 @@
 H is the centralizer of the base involution (1 2)(3 4)...(2m-1 2m),
 equivalently the group of permutations preserving the block partition
 {1,2},{3,4},...,{2m-1,2m}.  Double cosets HgH are classified by
-partitions of m; the classifier reads connected components off a
-bipartite block-matching graph (the coset type of g, Macdonald,
-*Symmetric Functions and Hall Polynomials*, 2nd ed., VII.2).  The same
-graph gives an even-support representative with an explicit certificate
-(h1, h2), h1*g*h2 equal to the representative: its components are even
-cycles, and alternate edges pick one symbol per block that g sends to
-distinct blocks.
+partitions of m, the coset type of g (Macdonald, *Symmetric Functions
+and Hall Polynomials*, 2nd ed., VII.2), read off a bipartite
+block-matching graph whose components are even cycles.  One walk of
+that graph on alternate edges serves both the classifier and the
+even-support reduction: its component lengths are the parts, and its
+picks (one symbol per block, sent by g to distinct blocks) give a
+representative with an explicit certificate (h1, h2), h1*g*h2 equal to
+the representative.  The test suite keeps a union-find over the same
+graph as an independent oracle for the classifier.
 """
 from __future__ import annotations
 
@@ -142,43 +144,41 @@ def tc_decompose(h: Permutation, m: int) -> TCParts:
     return parts
 
 
-def partition_of(g: Permutation, m: int) -> Partition:
-    """Class partition of HgH, read off the bipartite block-matching graph.
+def _walk(img: tuple[int, ...], m: int) -> tuple[list[int], list[int]]:
+    """The one traversal of the block-matching graph of the 0-indexed
+    image tuple ``img`` of an element of S_2m.
 
-    One vertex per block {2k-1,2k} on one side, one per image block
-    {g(2k-1),g(2k)} on the other; each symbol 1..2m is an edge joining
-    the two vertices containing it.  A connected component with 2k edges
-    contributes a part k.
+    One vertex per block {2k, 2k+1} on one side, one per image block
+    {img[2k], img[2k+1]} on the other; each symbol s is an edge joining
+    the block of s to the block of img[s].  Every vertex has degree two,
+    so each component is an even cycle; walking it on alternate edges
+    picks one symbol per block, and those picks have images in distinct
+    blocks.  Returns the pick of each block and the number of blocks in
+    each component (a component with 2k edges has k blocks per side).
     """
+    ginv = [0] * (2 * m)
+    for s, t in enumerate(img):
+        ginv[t] = s
+    pick = [-1] * m
+    lengths = []
+    for start in range(0, 2 * m, 2):
+        # from the pick s, the other edge into the image block of s is
+        # ginv[img[s] ^ 1], and its block partner is the next pick
+        s, k = start, 0
+        while pick[s >> 1] < 0:
+            pick[s >> 1] = s
+            s = ginv[img[s] ^ 1] ^ 1
+            k += 1
+        if k:
+            lengths.append(k)
+    return pick, lengths
+
+
+def partition_of(g: Permutation, m: int) -> Partition:
+    """Class partition of HgH: a component of the block-matching graph
+    with 2k edges contributes a part k (see :func:`_walk`)."""
     _check_degree(g, m)
-    n = 2 * m
-    image_block = [0] * (n + 1)
-    for j in range(m):
-        image_block[g.images[2 * j] + 1] = j
-        image_block[g.images[2 * j + 1] + 1] = j
-
-    parent = list(range(2 * m))  # 0..m-1 source blocks, m..2m-1 image blocks
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for s in range(1, n + 1):
-        a = find((s - 1) // 2)
-        b = find(m + image_block[s])
-        if a != b:
-            parent[a] = b
-    edges: Counter[int] = Counter()
-    for s in range(1, n + 1):
-        edges[find((s - 1) // 2)] += 1
-    parts = []
-    for root, e in edges.items():
-        if e % 2 != 0:
-            raise AssertionError("component with an odd number of edges")
-        parts.append(e // 2)
-    return Partition.from_parts(parts)
+    return Partition.from_parts(_walk(g.images, m)[1])
 
 
 def canonical_rep(lam: Partition, m: int) -> Permutation:
@@ -331,15 +331,14 @@ def enumerate_double_cosets(m: int) -> list[OrbitClass]:
     for start in itertools.permutations(range(n)):
         if start in seen:
             continue
-        rep = Permutation(start)
-        lam = partition_of(rep, m)
+        lengths = sorted(_walk(start, m)[1])
         orbit_size = 0
         queue = deque([start])
         seen.add(start)
         while queue:
             cur = queue.popleft()
             orbit_size += 1
-            if partition_of(Permutation(cur), m).counts != lam.counts:
+            if sorted(_walk(cur, m)[1]) != lengths:
                 raise AssertionError("class partition not constant on an orbit")
             for gen in gens:
                 left = tuple(gen[v] for v in cur)
@@ -350,7 +349,8 @@ def enumerate_double_cosets(m: int) -> list[OrbitClass]:
                 if right not in seen:
                     seen.add(right)
                     queue.append(right)
-        orbits.append(OrbitClass(lam, orbit_size, rep))
+        lam = Partition.from_parts(lengths)
+        orbits.append(OrbitClass(lam, orbit_size, Permutation(start)))
     orbits.sort(key=lambda o: str(o.lam))
     return orbits
 
@@ -370,9 +370,7 @@ class EvenSupportReduction:
 def reduce_to_even_support(g: Permutation, m: int) -> EvenSupportReduction:
     """Rewrite g into an even-support member of HgH in one O(m) pass.
 
-    Every vertex of the block-matching graph (see :func:`partition_of`)
-    has degree two, so each component is an even cycle and taking every
-    other edge picks one symbol per block whose images under g also lie
+    :func:`_walk` picks one symbol per block whose images under g lie
     in distinct blocks.  ``right`` maps block k onto itself, sending
     2k-1 to the pick of block k; ``left`` sends g(pick) and its block
     partner to 2k-1 and 2k.  Then left*g*right fixes every odd symbol,
@@ -382,16 +380,7 @@ def reduce_to_even_support(g: Permutation, m: int) -> EvenSupportReduction:
     _check_degree(g, m)
     n = 2 * m
     img = g.images
-    ginv = inverse(g).images
-    # walk each cycle of the graph on alternate edges (0-indexed symbols):
-    # from the picked s, the other edge into the image block of s is
-    # ginv[img[s] ^ 1], and its block partner is the next pick
-    pick = [-1] * m
-    for start in range(0, n, 2):
-        s = start
-        while pick[s // 2] < 0:
-            pick[s // 2] = s
-            s = ginv[img[s] ^ 1] ^ 1
+    pick = _walk(img, m)[0]
     left, right, result = [0] * n, [0] * n, list(range(n))
     for k, s in enumerate(pick):
         right[2 * k], right[2 * k + 1] = s, s ^ 1

@@ -227,6 +227,7 @@ def _zeta_tail(s: float, N: int) -> tuple[float, float]:
 _W_AT_ONE_MAX_N = 30_000_000
 
 
+@lru_cache(maxsize=4)
 def W_at_one(beta: float) -> WAtOneResult:
     """prod_{i>=1} I_beta((2i)^{-beta}) with a certified truncation error.
 
@@ -253,16 +254,20 @@ def W_at_one(beta: float) -> WAtOneResult:
     chunk = 1_000_000
     for start in range(1, N + 1, chunk):
         stop = min(N, start + chunk - 1)
-        i = np.arange(start, stop + 1, dtype=np.float64)
-        x = (2.0 * i) ** (-beta)
+        # four chunk-sized buffers, updated in place and freed before the next chunk
+        x = np.arange(start, stop + 1, dtype=np.float64)
+        x *= 2.0
+        np.power(x, -beta, out=x)
         series = np.zeros_like(x)
         p = np.ones_like(x)
+        term = np.empty_like(x)
         for j in range(jmax):
-            p = p * x
-            series += p * inv_fact_pow[j]
+            p *= x
+            series += np.multiply(p, inv_fact_pow[j], out=term)
             if p.max() * inv_fact_pow[min(j + 1, jmax - 1)] < 1e-25:
                 break
-        log_total += float(np.sum(np.log1p(series)))
+        log_total += float(np.sum(np.log1p(series, out=series)))
+        del x, p, term, series
 
     s1, e1 = _zeta_tail(beta, N)
     s2, e2 = _zeta_tail(2.0 * beta, N)
@@ -402,6 +407,8 @@ def asymptotic_diagnostic(beta: float, m_list: Sequence[int]) -> list[Asymptotic
         raise ValueError("asymptotic_diagnostic requires beta > 1")
     if not m_list:
         raise ValueError("m_list must be nonempty")
+    if min(m_list) < 1:
+        raise ValueError(f"every m must be >= 1, got {min(m_list)}")
     # keep only the listed degrees: the kernel's arrays are freed before W_at_one
     coeffs = _float_product((beta,), max(m_list))[list(m_list), 0].tolist()
     limit = W_at_one(beta).value / 2.0**beta

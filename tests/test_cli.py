@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coset_ewens import series
 from coset_ewens.cli import main
 from coset_ewens.cosets import partition_of
 from coset_ewens.perm import Permutation
@@ -273,6 +274,23 @@ class TestAsymptotics:
         assert pay["product_error_bound"] < 1e-10
         assert len(pay["rows"]) == 2
         assert pay["rows"][1]["relative_deviation"] < pay["rows"][0]["relative_deviation"]
+
+    def test_product_summed_once(self, capsys):
+        # the rows' limit and product_at_one come from one W_at_one sum
+        series.W_at_one.cache_clear()
+        code, env = run_json(capsys, ["asymptotics", "1.7", "--m-list", "50,200"])
+        assert code == 0
+        assert series.W_at_one.cache_info().misses == 1
+        pay = env["payload"]
+        assert pay["limit"] == pay["product_at_one"] / 2.0**1.7
+
+    @pytest.mark.parametrize("argv", [["--m-list=-1,5"], ["--m-list", "0"]])
+    def test_m_below_one_is_usage(self, capsys, argv):
+        code, env = run_json(capsys, ["asymptotics", "2.0", *argv])
+        assert code == 2
+        assert env["status"] == "error"
+        assert env["error"]["code"] == "usage"
+        assert "payload" not in env
 
 
 def _reject_constant(name):

@@ -43,6 +43,36 @@ def rand_perm(rng, n):
     return Permutation(tuple(images))
 
 
+def union_find_partition(g, m):
+    """Oracle for partition_of: components of the block-matching graph by
+    union-find (source blocks 0..m-1, image blocks m..2m-1), independent
+    of the alternate-edge walk that the library uses."""
+    n = 2 * m
+    image_block = [0] * n
+    for j in range(m):
+        image_block[g.images[2 * j]] = j
+        image_block[g.images[2 * j + 1]] = j
+    parent = list(range(2 * m))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for s in range(n):
+        a, b = find(s // 2), find(m + image_block[s])
+        if a != b:
+            parent[a] = b
+    edges = {}
+    for s in range(n):
+        root = find(s // 2)
+        edges[root] = edges.get(root, 0) + 1
+    if any(e % 2 for e in edges.values()):
+        raise AssertionError("component with an odd number of edges")
+    return Partition.from_parts([e // 2 for e in edges.values()])
+
+
 class TestBaseInvolution:
     def test_m1(self):
         assert cycle_string(base_involution(1)) == "(1 2)"
@@ -174,6 +204,18 @@ class TestPartitionOf:
         assert str(partition_of(from_cycles(4, [(1, 3)]), 2)) == "2^1"
         assert str(partition_of(from_cycles(6, [(4, 5)]), 3)) == "1^1 2^1"
         assert str(partition_of(from_cycles(8, [(6, 7)]), 4)) == "1^2 2^1"
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_equals_union_find_oracle_exhaustive(self, m):
+        for g in all_perms(2 * m):
+            assert partition_of(g, m) == union_find_partition(g, m)
+
+    @pytest.mark.parametrize("m", [5, 8, 50, 200, 1000])
+    def test_equals_union_find_oracle_random(self, m):
+        rng = random.Random(11 * m)
+        for _ in range(200):
+            g = rand_perm(rng, 2 * m)
+            assert partition_of(g, m) == union_find_partition(g, m)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_bi_invariance(self, m):
@@ -373,7 +415,7 @@ class TestEvenSupportReduction:
     def test_block_map_cycle_type_matches_classifier(self, m):
         # the result permutes the even symbols 2k as blocks; the cycle type
         # of that block map, found by a plain walk, must be the class the
-        # union-find classifier reads off g
+        # union-find oracle reads off g
         rng = random.Random(7 * m + 1)
         for _ in range(10):
             g = rand_perm(rng, 2 * m)
@@ -388,7 +430,7 @@ class TestEvenSupportReduction:
                     length += 1
                 if length:
                     lengths.append(length)
-            assert Partition.from_parts(lengths) == partition_of(g, m)
+            assert Partition.from_parts(lengths) == union_find_partition(g, m)
 
     def test_no_cycle_decomposition(self, monkeypatch):
         import coset_ewens.cosets as cosets

@@ -483,3 +483,12 @@ class TestAsymptoticDiagnostic:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             asymptotic_diagnostic(2.0, [20001])
+
+    @pytest.mark.parametrize("m_list", [[-1, 5], [0], [5, 0, 10]])
+    def test_rejects_m_below_one_before_the_kernel(self, m_list, monkeypatch):
+        def refuse(betas, M):
+            raise AssertionError("kernel ran")
+
+        monkeypatch.setattr(series, "_float_product", refuse)
+        with pytest.raises(ValueError):
+            asymptotic_diagnostic(2.0, m_list)
