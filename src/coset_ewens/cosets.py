@@ -21,6 +21,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import ResourceLimitError
@@ -326,6 +327,7 @@ def enumerate_double_cosets(m: int) -> list[OrbitClass]:
         )
     n = 2 * m
     gens = [g.images for g in h_generators(m)]
+    rights = [itemgetter(*gen) for gen in gens]  # cur -> cur o gen
     seen: set[tuple[int, ...]] = set()
     orbits = []
     for start in itertools.permutations(range(n)):
@@ -340,12 +342,12 @@ def enumerate_double_cosets(m: int) -> list[OrbitClass]:
             orbit_size += 1
             if sorted(_walk(cur, m)[1]) != lengths:
                 raise AssertionError("class partition not constant on an orbit")
-            for gen in gens:
-                left = tuple(gen[v] for v in cur)
+            for gen, right_of in zip(gens, rights):
+                left = itemgetter(*cur)(gen)
                 if left not in seen:
                     seen.add(left)
                     queue.append(left)
-                right = tuple(cur[v] for v in gen)
+                right = right_of(cur)
                 if right not in seen:
                     seen.add(right)
                     queue.append(right)

@@ -18,7 +18,8 @@ from .errors import ResourceLimitError
 from .partitions import Partition
 
 EXACT_TAIL_MAX_M = 60
-#: sample refused above this m (building its gap table peaks at ~335 MiB)
+#: sampling refused above this m: at the cap the Monte Carlo gap table
+#: peaks at ~335 MiB, and one sample_partition draw at ~460 MiB
 SAMPLE_MAX_M = 10**7
 
 #: two-sided 95% normal quantile, used by the Wilson score radius
@@ -66,11 +67,6 @@ def coset_probability(lam: Partition, m: int) -> Fraction:
         raise ValueError(f"partition has weight {lam.m}, expected {m}")
     numer = 2 ** (2 * m) * math.factorial(m) ** 2
     return Fraction(numer, math.factorial(2 * m) * f_of(lam))
-
-
-def log_f(lam: Partition) -> float:
-    """log f(lam) evaluated part-by-part (safe for huge multiplicities)."""
-    return sum(r * math.log(2 * part) + math.lgamma(r + 1) for part, r in lam.counts)
 
 
 # --- threshold comparison f <= m^c -------------------------------------
@@ -160,35 +156,42 @@ def good_probability_exact(m: int, c) -> Fraction:
 
 # --- sampling -----------------------------------------------------------
 
+def _part_sizes(m: int, theta: float, seeds: np.ndarray) -> np.ndarray:
+    """One Ewens(theta) draw per uint64 seed as a ``(lanes, m)`` table: the
+    size of the part rooted at each element, 0 at a non-root.
+
+    The part-opening process is a random recursive forest: element n is a
+    root with probability theta/(theta+n), else the child of a uniformly
+    chosen earlier element (so it joins a part with probability
+    proportional to its size).  Draw n, at stream index n, alone fixes
+    element n's parent; pointer jumping then finds every root.
+    """
+    n = np.arange(m)
+    y = rng.uniform01_array(seeds[:, None], n) * (theta + n)
+    # y - theta is in [0, n); the clamp guards the last-ulp case
+    parent = np.where(y < theta, n, np.minimum((y - theta).astype(np.int64), n - 1))
+    root = (parent + m * np.arange(len(seeds))[:, None]).ravel()  # flat ids
+    while not np.array_equal(up := root[root], root):
+        root = up
+    return np.bincount(root, minlength=root.size).reshape(len(seeds), m)
+
+
 def sample_partition(m: int, theta: float, seed: int) -> Partition:
     """One draw from the Ewens distribution via the sequential
-    part-opening process: element n+1 opens a new part with probability
-    theta/(theta+n), otherwise it joins an existing part with probability
-    proportional to the part's size.
+    part-opening process (see :func:`_part_sizes`).
 
-    Bit-identical for a fixed seed across runs and platforms; draw n
-    consumes stream index n of :mod:`coset_ewens.rng`.
+    Bit-identical for a fixed seed across runs and platforms.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if theta <= 0:
-        raise ValueError("theta must be > 0")
-    sizes: list[int] = []
-    member_table: list[int] = []  # element index -> its part
-    for n in range(m):
-        y = rng.uniform01(seed, n) * (theta + n)
-        if y < theta:
-            member_table.append(len(sizes))
-            sizes.append(1)
-        else:
-            # y - theta is in [0, n); the clamp guards the last-ulp case
-            t = member_table[min(int(y - theta), n - 1)]
-            member_table.append(t)
-            sizes[t] += 1
-    mult: dict[int, int] = {}
-    for size in sizes:
-        mult[size] = mult.get(size, 0) + 1
-    return Partition.trusted(tuple(sorted(mult.items())), m)
+    if m > SAMPLE_MAX_M:
+        raise ResourceLimitError(f"sample_partition limited to m <= {SAMPLE_MAX_M}")
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError(f"theta must be finite and > 0, got {theta}")
+    rng.check_seed(seed)
+    sizes = _part_sizes(m, theta, np.array([seed], dtype=np.uint64))[0]
+    size, r = np.unique(sizes[sizes > 0], return_counts=True)
+    return Partition.trusted(tuple(zip(size.tolist(), r.tolist())), m)
 
 
 @lru_cache(maxsize=2)
@@ -208,9 +211,10 @@ def _gap_prefix(m: int, theta: float) -> np.ndarray:
 def _sample_parts_chunk(m: int, theta: float, seed: int, chunk_index: int,
                         count: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat ``(lanes, sizes)`` arrays of the parts of one chunk of samples,
-    via inverse-CDF gap sampling of the mark positions (distribution
-    identical to sample_partition's process; validated against it by
-    total-variation tests), one gap per unfinished lane and round."""
+    via inverse-CDF gap sampling of the mark positions, one gap per
+    unfinished lane and round.  The law is that of the part-opening
+    process of :func:`_part_sizes`; the tests check it against the exact
+    Ewens law by total variation."""
     G = _gap_prefix(m, theta)
     base = chunk_index << _CHUNK_SHIFT
     active = np.arange(count, dtype=np.int64)

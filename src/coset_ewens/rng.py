@@ -1,11 +1,11 @@
 """Counter-based deterministic random numbers (splitmix64).
 
 Every draw is a pure function of (seed, stream index): a consumer that
-owns a block of indices computes ``uniform01(seed, i)`` for each i, with
+owns a block of indices computes ``uniform01_array(seed, indices)``, with
 no generator state to carry between draws or blocks.  Integer arithmetic
-is exact and the float conversion uses the top 53 bits, so sequences are
-identical across platforms.  Seeds outside [0, 2^64) are refused rather
-than reduced modulo 2^64, so no two seeds alias one stream.
+wraps exactly in uint64 and the float conversion uses the top 53 bits, so
+sequences are identical across platforms.  Seeds outside [0, 2^64) are
+refused rather than reduced modulo 2^64, so no two seeds alias one stream.
 """
 from __future__ import annotations
 
@@ -18,33 +18,20 @@ _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0**-53
 
 
-def mix64(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
 def check_seed(seed: int) -> None:
     if not 0 <= seed <= _MASK:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
 
 
-def raw64(seed: int, index: int) -> int:
-    """The ``index``-th 64-bit word of the stream for ``seed``."""
-    if not 0 <= seed <= _MASK:  # one comparison per draw; raise through the check
+def uniform01_array(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Uniform draws in [0, 1) at stream positions ``indices``.
+
+    ``seed`` is an int (range-checked) or a uint64 array; it broadcasts
+    against ``indices``, so ``seeds[:, None]`` with ``np.arange(n)`` gives
+    the first n draws of every seed, one row per seed.
+    """
+    if not isinstance(seed, np.ndarray):
         check_seed(seed)
-    return mix64((seed + (index + 1) * _GOLDEN) & _MASK)
-
-
-def uniform01(seed: int, index: int) -> float:
-    """Uniform draw in [0, 1) at stream position ``index``."""
-    return (raw64(seed, index) >> 11) * _INV_2_53
-
-
-def uniform01_array(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`uniform01` over a uint64 index array."""
-    check_seed(seed)
     z = (np.uint64(seed) + (indices.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)

@@ -63,8 +63,9 @@ def W_direct(beta, m: int):
 
 @lru_cache(maxsize=4)
 def _log_f(m: int) -> np.ndarray:
-    """log f(lam) of every partition of m, each bit-identical to
-    :func:`coset_ewens.ewens.log_f`: the same terms, summed in the same order."""
+    """log f(lam) of every partition of m, each bit-identical to the
+    part-by-part oracle ``log_f`` in ``tests/test_series.py``: the same
+    terms, summed in the same order."""
     term = {(p, r): r * math.log(2 * p) + math.lgamma(r + 1)
             for p in range(1, m + 1) for r in range(1, m // p + 1)}
     get = term.__getitem__

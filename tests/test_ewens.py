@@ -16,13 +16,14 @@ from coset_ewens.ewens import (
     f_of,
     good_probability_exact,
     good_probability_mc,
-    log_f,
     sample_partition,
     wilson_radius,
     SAMPLE_MAX_M,
     _chunk_hits,
+    _part_sizes,
     _sample_parts_chunk,
 )
+from test_series import log_f
 
 HALF = Fraction(1, 2)
 
@@ -184,6 +185,85 @@ def tv_distance(counts, exact, n):
     return sum(abs(counts.get(k, 0) / n - float(exact.get(k, 0))) for k in classes) / 2
 
 
+def partition_counts(lanes, sizes, m) -> Counter:
+    """The sampled partitions as a Counter keyed by Partition, from flat
+    ``(lane, part size)`` arrays whose lanes run 0..count-1 (m <= 14)."""
+    assert m <= 14  # so (m+1)^(m+1), the key bound below, fits in int64
+    count = int(lanes.max()) + 1
+    mult = np.bincount(lanes * (m + 1) + sizes, minlength=count * (m + 1))
+    mult = mult.reshape(count, m + 1)
+    # a lane's multiplicities (each <= m) as the base-(m+1) digits of one key
+    _, first, k = np.unique(mult @ (m + 1) ** np.arange(m + 1),
+                            return_index=True, return_counts=True)
+    return Counter({Partition.from_multiplicities(dict(enumerate(row))): n
+                    for row, n in zip(mult[first].tolist(), k.tolist())})
+
+
+def sequential_counts(m, first_seed, n, block=100_000) -> Counter:
+    """Counter of the Ewens(1/2) draws of seeds first_seed..first_seed+n-1,
+    drawn by the array pass at most ``block`` lanes at a time."""
+    counts = Counter()
+    for start in range(first_seed, first_seed + n, block):
+        seeds = np.arange(start, min(start + block, first_seed + n), dtype=np.uint64)
+        table = _part_sizes(m, 0.5, seeds)
+        counts += partition_counts(np.nonzero(table)[0], table[table > 0], m)
+    return counts
+
+
+# --- scalar oracles: splitmix64 on Python ints, and the part-opening
+# process one draw at a time
+
+MASK64 = (1 << 64) - 1
+
+
+def mix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def raw64(seed: int, index: int) -> int:
+    """The ``index``-th 64-bit word of the stream for ``seed``."""
+    return mix64((seed + (index + 1) * 0x9E3779B97F4A7C15) & MASK64)
+
+
+def uniform01(seed: int, index: int) -> float:
+    """Uniform draw in [0, 1) at stream position ``index``."""
+    return (raw64(seed, index) >> 11) * 2.0**-53
+
+
+def sequential_sizes(m, theta, seed) -> list[int]:
+    """Oracle: the part-opening process, element by element.  Entry j is
+    the size of the part element j opened, 0 if it joined one."""
+    sizes = [0] * m
+    root: list[int] = []  # element -> the element that opened its part
+    for n in range(m):
+        y = uniform01(seed, n) * (theta + n)
+        if y < theta:
+            root.append(n)
+        else:
+            # y - theta is in [0, n); the clamp guards the last-ulp case
+            root.append(root[min(int(y - theta), n - 1)])
+        sizes[root[n]] += 1
+    return sizes
+
+
+# the two edge seeds and every 997th seed of test_total_variation_m6;
+# at m >= 200, where the scalar oracle costs ~2 us a draw, every 10th
+ORACLE_SEEDS = [0, 2**64 - 1, *range(9_000_000, 10_000_000, 997)]
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.5, 1, 3.7])
+def test_array_pass_matches_sequential_oracle(theta):
+    for m in (1, 2, 3, 6, 37, 200, 1000):
+        seeds = ORACLE_SEEDS if m < 200 else ORACLE_SEEDS[::10]
+        want = [sequential_sizes(m, theta, seed) for seed in seeds]
+        assert _part_sizes(m, theta, np.array(seeds, dtype=np.uint64)).tolist() == want
+        for seed, sizes in zip(seeds[::10], want[::10]):
+            lam = Partition.from_parts(size for size in sizes if size)
+            assert sample_partition(m, theta, seed) == lam
+
+
 class TestSamplePartition:
     def test_m1(self):
         for seed in range(5):
@@ -201,19 +281,18 @@ class TestSamplePartition:
             assert lam.m == m
 
     def test_m2_frequency(self):
-        two = Partition.parse("2^1")
-        hits = sum(sample_partition(2, 0.5, 1000 + k) == two for k in range(100000))
+        hits = sequential_counts(2, 1000, 100000)[Partition.parse("2^1")]
         assert abs(hits / 100000 - 2 / 3) < 0.01
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_total_variation_small(self, m):
         n = 400000
-        counts = Counter(sample_partition(m, 0.5, 7_000_000 + k) for k in range(n))
+        counts = sequential_counts(m, 7_000_000, n)
         assert tv_distance(counts, exact_distribution(m), n) < 0.005
 
     def test_total_variation_m6(self):
         n = 1_000_000
-        counts = Counter(sample_partition(6, 0.5, 9_000_000 + k) for k in range(n))
+        counts = sequential_counts(6, 9_000_000, n)
         assert tv_distance(counts, exact_distribution(6), n) < 0.005
 
     def test_rejects_bad_args(self):
@@ -221,6 +300,15 @@ class TestSamplePartition:
             sample_partition(0, 0.5, 1)
         with pytest.raises(ValueError):
             sample_partition(3, 0.0, 1)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_bad_theta(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            sample_partition(3, theta, 1)
+
+    def test_cap(self):
+        with pytest.raises(ResourceLimitError):
+            sample_partition(SAMPLE_MAX_M + 1, 0.5, 1)
 
     def test_seed_range(self):
         sample_partition(30, 0.5, 0)
@@ -264,39 +352,30 @@ def _reference_parts_chunk(m, theta, seed, chunk_index, count):
 
 class TestRngSeedRange:
     def test_edges_accepted(self):
+        edges = (0, 2**64 - 1)
         idx = np.arange(5, dtype=np.uint64)
-        for seed in (0, 2**64 - 1):
-            u = rng.uniform01_array(seed, idx)
-            assert [rng.uniform01(seed, i) for i in range(5)] == u.tolist()
-            assert rng.raw64(seed, 3) >> 11 == int(u[3] * 2.0**53)
+        want = [[uniform01(seed, i) for i in range(5)] for seed in edges]
+        seeds = np.array(edges, dtype=np.uint64)
+        assert rng.uniform01_array(seeds[:, None], idx).tolist() == want
+        assert [rng.uniform01_array(seed, idx).tolist() for seed in edges] == want
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_refused(self, seed):
-        with pytest.raises(ValueError):
-            rng.raw64(seed, 3)
-        with pytest.raises(ValueError):
-            rng.uniform01(seed, 3)
-        with pytest.raises(ValueError):
+        # a ValueError naming the seed, not numpy's OverflowError
+        with pytest.raises(ValueError, match="seed"):
             rng.uniform01_array(seed, np.arange(3, dtype=np.uint64))
+        with pytest.raises(ValueError, match="seed"):
+            sample_partition(3, 0.5, seed)
 
 
 class TestGapSampler:
     def test_total_variation_m6(self):
         # the large-m sampling path must match the exact law too
-        m, base = 6, 7
-        # a lane's multiplicities r_1..r_m (all <= m) as the digits of one
-        # base-7 number
-        digit = base ** np.arange(m + 1)
-        keys = np.concatenate([
-            np.bincount(lanes, weights=digit[sizes], minlength=4096)
-            for lanes, sizes in (_sample_parts_chunk(m, 0.5, 123, chunk, 4096)
-                                 for chunk in range(250))
-        ]).astype(np.int64)
-        counts = {}
-        for key, k in zip(*(a.tolist() for a in np.unique(keys, return_counts=True))):
-            mult = {i: key // base**i % base for i in range(1, m + 1)}
-            counts[Partition.from_multiplicities(mult)] = k
-        n = keys.size
+        m = 6
+        counts = Counter()
+        for chunk in range(250):
+            counts += partition_counts(*_sample_parts_chunk(m, 0.5, 123, chunk, 4096), m)
+        n = counts.total()
         assert n == 250 * 4096
         assert tv_distance(counts, exact_distribution(m), n) < 0.005
 

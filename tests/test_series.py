@@ -7,7 +7,7 @@ import pytest
 
 from coset_ewens import series
 from coset_ewens.errors import NumericRangeError, ResourceLimitError
-from coset_ewens.partitions import enumerate_partitions, partition_count
+from coset_ewens.partitions import Partition, enumerate_partitions, partition_count
 from coset_ewens.series import (
     W_at_one,
     W_coefficient,
@@ -24,7 +24,13 @@ from coset_ewens.series import (
     _float_product,
     _zeta_tail,
 )
-from coset_ewens.ewens import f_of, good_probability_exact, log_f
+from coset_ewens.ewens import f_of, good_probability_exact
+
+
+def log_f(lam: Partition) -> float:
+    """Oracle: log f(lam) evaluated part by part (safe for huge
+    multiplicities); ``series._log_f`` must match it bit for bit."""
+    return sum(r * math.log(2 * part) + math.lgamma(r + 1) for part, r in lam.counts)
 
 
 def one_beta_product(beta: float, M: int) -> np.ndarray:
