@@ -17,8 +17,10 @@ import sys
 import time
 from fractions import Fraction
 
-from . import series as series_mod
+from . import rng, series as series_mod
 from .cosets import (
+    INTERSECTION_MAX_M,
+    ORBIT_SWEEP_MAX_M,
     CosetClass,
     canonical_rep,
     coset_class,
@@ -40,6 +42,11 @@ EXIT_USAGE = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_RESOURCE = 4
 EXIT_NUMERIC_RANGE = 5
+
+# table and double-cosets hold every row: double-cosets 59 peaks at 1.4 GiB, 60 at 1.6 GiB
+CLASS_TABLE_MAX_M = 59
+# the exact coset size's digits make classify about quadratic in m
+CLASSIFY_MAX_M = 20_000
 
 
 class VerificationFailure(Exception):
@@ -65,11 +72,6 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def _check_common(args) -> None:
-    if not 0 <= args.seed < 2**64:
-        raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
-
-
 def _parse_m_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
@@ -78,6 +80,8 @@ def _parse_m_list(text: str) -> list[int]:
 
 def cmd_classify(args) -> dict:
     m = args.m
+    if m > CLASSIFY_MAX_M:
+        raise ResourceLimitError(f"classify limited to m <= {CLASSIFY_MAX_M}")
     g = parse_permutation(args.perm, 2 * m)
     lam = partition_of(g, m)
     record = coset_class(lam, m).to_json_dict()
@@ -88,8 +92,8 @@ def cmd_classify(args) -> dict:
 
 def cmd_verify(args) -> dict:
     m = args.m
-    if m > 5:
-        raise ValueError("verify is limited to m <= 5")
+    if m > INTERSECTION_MAX_M:
+        raise ValueError(f"verify is limited to m <= {INTERSECTION_MAX_M}")
     lams = enumerate_partitions(m)
     sizes = [double_coset_size(lam, m) for lam in lams]
     classes = []
@@ -111,7 +115,7 @@ def cmd_verify(args) -> dict:
             "fingerprint_ok": fingerprint_ok,
         })
     payload: dict = {"m": m, "classes": classes}
-    if m <= 4:
+    if m <= ORBIT_SWEEP_MAX_M:
         orbits = enumerate_double_cosets(m)
         orbit_ok = sorted(sizes) == sorted(o.size for o in orbits)
         all_ok = all_ok and orbit_ok
@@ -129,8 +133,16 @@ def cmd_verify(args) -> dict:
     return payload
 
 
+def _check_class_table_m(m: int) -> None:
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if m > CLASS_TABLE_MAX_M:
+        raise ResourceLimitError(f"table and double-cosets limited to m <= {CLASS_TABLE_MAX_M}")
+
+
 def cmd_double_cosets(args) -> dict:
     m = args.m
+    _check_class_table_m(m)
     h_order = 2**m * math.factorial(m)
     classes = []
     for counts, f in iter_counts(m):
@@ -142,6 +154,7 @@ def cmd_double_cosets(args) -> dict:
 
 def cmd_table(args) -> dict:
     m = args.m
+    _check_class_table_m(m)
     h_order = 2**m * math.factorial(m)
     fact_2m = math.factorial(2 * m)
     rows = []
@@ -279,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", parents=[common],
-                       help="brute-force verification sweep for one m (m <= 5)")
+                       help=f"brute-force verification sweep for one m (m <= {INTERSECTION_MAX_M})")
     p.add_argument("m", type=int)
     p.set_defaults(func=cmd_verify)
 
@@ -367,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
         return status
 
     try:
-        _check_common(args)
+        rng.check_seed(args.seed)
         payload = args.func(args)
         text = _payload_csv(args.command, payload) if args.csv else None
         if text is None:

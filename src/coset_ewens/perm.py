@@ -140,19 +140,8 @@ def cycle_type(g: Permutation) -> Partition:
     >>> str(cycle_type(from_cycles(6, [(2, 4, 6)])))
     '1^3 3^1'
     """
-    seen = [False] * g.n
-    parts = []
-    for i in range(g.n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            length += 1
-            j = g.images[j]
-        parts.append(length)
-    return Partition.from_parts(parts)
+    lengths = [len(cyc) for cyc in disjoint_cycles(g)]
+    return Partition.from_parts(lengths + [1] * (g.n - sum(lengths)))
 
 
 def cycle_string(g: Permutation) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ SERIES_EXACT_MAX_M = 200
 SERIES_EXACT_MAX_BETA_M = 3200
 SERIES_MAX_M = 20000
 _BLOCK = 64  # float kernel columns per call: bounds a long grid's working set
+TAIL_GRID_MAX_POINTS = 1024
 
 
 def _is_whole(beta) -> bool:
@@ -292,11 +293,19 @@ class TailBoundResult:
     grid: tuple[tuple[float, float], ...]
 
 
-def _tail_grid(params, logs: Sequence[float], betas: Sequence[float], m: int) -> list:
-    """[(param, exp(log) * W(beta, m))], every prefactor taken before the
-    kernel runs, then one kernel call per block of distinct ascending betas."""
+def _tail_bound(m: int, c: float, name: str, params: Sequence[float],
+                exponents: Sequence[float], betas: Sequence[float]) -> TailBoundResult:
+    """min over the grid of m^{c e} W(1,m)^{-1} W(beta, m), one (param, e, beta)
+    per grid point: every prefactor taken before the kernel runs, then one
+    kernel call per block of distinct ascending betas."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if len(params) > TAIL_GRID_MAX_POINTS:
+        raise ResourceLimitError(f"tail grids limited to {TAIL_GRID_MAX_POINTS} points")
+    log_m = math.log(m)
+    log_w1 = log_W_one_closed(m)
     try:
-        pref = [math.exp(v) for v in logs]
+        pref = [math.exp(c * e * log_m - log_w1) for e in exponents]
     except OverflowError:
         pref = [math.inf]
     if all(map(math.isfinite, pref)):
@@ -304,50 +313,40 @@ def _tail_grid(params, logs: Sequence[float], betas: Sequence[float], m: int) ->
         for s in range(0, len(distinct), _BLOCK):
             block = distinct[s:s + _BLOCK]
             w.update(zip(block, _float_product(block, m)[m].tolist()))
-        vals = [(float(q), f * w[b]) for q, f, b in zip(params, pref, betas)]
-        if all(math.isfinite(v) for _, v in vals):
-            return vals
+        grid = tuple((float(q), f * w[b]) for q, f, b in zip(params, pref, betas))
+        if all(math.isfinite(v) for _, v in grid):
+            best = min(grid, key=lambda t: t[1])
+            return TailBoundResult(m, float(c), name, best[0], best[1], grid)
     raise NumericRangeError(f"a tail bound at m={m} is out of float64 range")
 
 
 def default_alpha_grid(points: int = 64, lo: float = 1e-3, hi: float = 8.0) -> tuple[float, ...]:
+    if points > TAIL_GRID_MAX_POINTS:
+        raise ResourceLimitError(f"tail grids limited to {TAIL_GRID_MAX_POINTS} points")
     return tuple(float(a) for a in np.geomspace(lo, hi, points))
 
 
 def left_tail_bound(m: int, c: float, alpha_grid: Sequence[float] | None = None) -> TailBoundResult:
     """Markov bound on P(f <= m^c): min over the grid of
     m^{c a} * W(1,m)^{-1} * W(a+1, m); every grid value is itself valid."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     alphas = tuple(alpha_grid) if alpha_grid is not None else default_alpha_grid()
     if not alphas:
         raise ValueError("alpha grid must be nonempty")
     if not all(0 < a < math.inf for a in alphas):
         raise ValueError("alpha grid entries must be finite and > 0")
-    log_m = math.log(m)
-    log_w1 = log_W_one_closed(m)
-    grid = _tail_grid(alphas, [c * a * log_m - log_w1 for a in alphas],
-                      [a + 1.0 for a in alphas], m)
-    best = min(grid, key=lambda t: t[1])
-    return TailBoundResult(m, float(c), "alpha", best[0], best[1], tuple(grid))
+    return _tail_bound(m, c, "alpha", alphas, alphas, [a + 1.0 for a in alphas])
 
 
 def right_tail_bound(m: int, c: float, beta) -> TailBoundResult:
     """Markov bound on P(f > m^c): m^{-c(1-beta)} W(1,m)^{-1} W(beta, m)
     for 0 < beta < 1; a scalar or a grid of betas may be supplied."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    betas: Iterable[float] = (beta,) if isinstance(beta, (int, float)) else tuple(beta)
+    betas = (beta,) if isinstance(beta, (int, float)) else beta
     betas = tuple(float(b) for b in betas)
     if not betas:
         raise ValueError("beta grid must be nonempty")
     if any(not 0.0 < b < 1.0 for b in betas):
         raise ValueError("beta must lie strictly inside (0, 1)")
-    log_m = math.log(m)
-    log_w1 = log_W_one_closed(m)
-    grid = _tail_grid(betas, [-c * (1.0 - b) * log_m - log_w1 for b in betas], betas, m)
-    best = min(grid, key=lambda t: t[1])
-    return TailBoundResult(m, float(c), "beta", best[0], best[1], tuple(grid))
+    return _tail_bound(m, c, "beta", betas, [-(1.0 - b) for b in betas], betas)
 
 
 def default_right_beta(m: int, t: float = 1.0) -> float:
@@ -383,8 +382,6 @@ def jensen_check(alpha: float, beta: float, gamma: float, m: int,
     (log-convexity of beta |-> W(beta, m)); compared in log space."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie strictly inside (0, 1)")
-    if m > DIRECT_MAX_M:
-        raise ResourceLimitError(f"jensen_check limited to m <= {DIRECT_MAX_M}")
     lhs = log_W_direct(alpha + beta, m)
     rhs = ((1.0 - gamma) * log_W_direct(float(beta), m)
            + gamma * log_W_direct(alpha / gamma + beta, m))

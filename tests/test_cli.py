@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coset_ewens import series
+from coset_ewens import cli, series
 from coset_ewens.cli import main
 from coset_ewens.cosets import partition_of
 from coset_ewens.perm import Permutation
@@ -24,6 +24,10 @@ def run(capsys, argv):
 def run_json(capsys, argv):
     code, out = run(capsys, argv)
     return code, json.loads(out)
+
+
+def fail(*args, **kwargs):
+    raise AssertionError("ran past the cap")
 
 
 class TestClassify:
@@ -66,6 +70,14 @@ class TestClassify:
         assert code == 0
         assert env["payload"]["lambda"] == str(partition_of(Permutation(tuple(images)), 1000))
         assert len(env["payload"]["coset_size"]) > 4300
+
+    def test_m_above_cap_refused_before_parsing(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "parse_permutation", fail)
+        start = time.perf_counter()
+        code, env = run_json(capsys, ["classify", "()", "100000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert env["error"]["code"] == "resource_cap"
 
 
 class TestVerify:
@@ -116,6 +128,24 @@ class TestTable:
         lines = out.strip().split("\n")
         assert lines[0].startswith("lambda,")
         assert len(lines) == 3
+
+
+class TestClassTableCaps:
+    @pytest.mark.parametrize("command", ["table", "double-cosets"])
+    @pytest.mark.parametrize("m", [cli.CLASS_TABLE_MAX_M + 1, 75])
+    def test_m_above_cap_refused_before_enumerating(self, capsys, monkeypatch, command, m):
+        monkeypatch.setattr(cli, "iter_counts", fail)
+        start = time.perf_counter()
+        code, env = run_json(capsys, [command, str(m)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert env["error"]["code"] == "resource_cap"
+
+    @pytest.mark.parametrize("command", ["table", "double-cosets"])
+    def test_negative_m_exit_2(self, capsys, command):
+        code, env = run_json(capsys, [command, "-1"])
+        assert code == 2
+        assert env["error"]["message"] == "m must be nonnegative"
 
 
 class TestSample:
@@ -214,6 +244,14 @@ class TestTails:
 
     def test_m_above_series_cap_exit_4(self, capsys):
         code, env = run_json(capsys, ["tails", "20001", "2"])
+        assert code == 4
+        assert env["error"]["code"] == "resource_cap"
+
+    def test_alpha_points_above_cap_exit_4_before_allocating(self, capsys, monkeypatch):
+        monkeypatch.setattr(series.np, "geomspace", fail)
+        start = time.perf_counter()
+        code, env = run_json(capsys, ["tails", "3", "2", "--alpha-points", "10000000000000"])
+        assert time.perf_counter() - start < 1.0
         assert code == 4
         assert env["error"]["code"] == "resource_cap"
 

@@ -34,6 +34,8 @@ COMMANDS = [
     "tails 100 2 --alpha-points 8",
     "asymptotics 2.0 --m-list 50,200",
     "classify [3,5,1,6,2,4,8,7] 4",
+    "verify 4",
+    "tails 1000 2",
 ]
 
 

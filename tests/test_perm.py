@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coset_ewens.partitions import Partition
 from coset_ewens.perm import (
     Permutation,
     compose,
@@ -17,6 +19,23 @@ from coset_ewens.perm import (
     one_line_string,
     parse_permutation,
 )
+
+
+def walk_cycle_type(g):
+    """Per-element cycle walk: the oracle for cycle_type."""
+    seen = [False] * g.n
+    parts = []
+    for i in range(g.n):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            length += 1
+            j = g.images[j]
+        parts.append(length)
+    return Partition.from_parts(parts)
 
 
 def rand_perm(rng, n):
@@ -74,6 +93,18 @@ class TestCycleType:
 
     def test_three_cycle(self):
         assert str(cycle_type(from_cycles(6, [(2, 4, 6)]))) == "1^3 3^1"
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_equals_walk_on_all_of_S_n(self, n):
+        for images in itertools.permutations(range(n)):
+            g = Permutation(images)
+            assert cycle_type(g) == walk_cycle_type(g)
+
+    def test_equals_walk_at_n_200(self):
+        rng = random.Random(200)
+        for _ in range(200):
+            g = rand_perm(rng, 200)
+            assert cycle_type(g) == walk_cycle_type(g)
 
 
 @given(st.integers(1, 10).flatmap(

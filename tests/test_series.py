@@ -331,6 +331,19 @@ class TestBatchedKernel:
         with pytest.raises(ResourceLimitError):
             W_coefficient(1.5, m)
 
+    def test_grid_length_capped_before_any_allocation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated")
+        monkeypatch.setattr(series, "_float_product", fail)
+        monkeypatch.setattr(series.np, "geomspace", fail)
+        long_grid = [0.5] * (series.TAIL_GRID_MAX_POINTS + 1)
+        with pytest.raises(ResourceLimitError):
+            series.default_alpha_grid(10**13)
+        with pytest.raises(ResourceLimitError):
+            left_tail_bound(40, 1.5, long_grid)
+        with pytest.raises(ResourceLimitError):
+            right_tail_bound(40, 1.5, long_grid)
+
     def test_prefactor_overflow_runs_no_kernel(self, monkeypatch):
         def no_kernel(betas, M):
             raise AssertionError("kernel ran")
@@ -466,6 +479,13 @@ class TestJensen:
         for gamma in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
                 jensen_check(1.0, 0.0, gamma, 5)
+
+    def test_m_above_direct_cap_runs_no_enumeration(self, monkeypatch):
+        def no_enumeration(m):
+            raise AssertionError("enumeration ran")
+        monkeypatch.setattr(series, "_log_f", no_enumeration)
+        with pytest.raises(ResourceLimitError):
+            jensen_check(0.5, 1.5, 0.5, series.DIRECT_MAX_M + 1)
 
 
 class TestAsymptoticDiagnostic:
