@@ -22,6 +22,7 @@ from .cosets import (
     INTERSECTION_MAX_M,
     ORBIT_SWEEP_MAX_M,
     CosetClass,
+    canonical_cycles,
     canonical_rep,
     coset_class,
     double_coset_size,
@@ -43,7 +44,7 @@ EXIT_VERIFY_FAILED = 3
 EXIT_RESOURCE = 4
 EXIT_NUMERIC_RANGE = 5
 
-# table and double-cosets hold every row: double-cosets 59 peaks at 1.4 GiB, 60 at 1.6 GiB
+# table and double-cosets hold every row, so memory, not time, sets the cap: 1.4 GiB at 59
 CLASS_TABLE_MAX_M = 59
 # the exact coset size's digits make classify about quadratic in m
 CLASSIFY_MAX_M = 20_000
@@ -146,8 +147,8 @@ def cmd_double_cosets(args) -> dict:
     h_order = 2**m * math.factorial(m)
     classes = []
     for counts, f in iter_counts(m):
-        lam = Partition.trusted(counts, m)
-        record = CosetClass(lam, f, h_order * h_order // f, canonical_rep(lam, m))
+        record = CosetClass(Partition.trusted(counts, m), f, h_order * h_order // f,
+                            canonical_cycles(counts, m))
         classes.append(record.to_json_dict())
     return {"m": m, "classes": classes}
 

@@ -30,7 +30,6 @@ from .perm import (
     Permutation,
     compose,
     conjugate,
-    cycle_string,
     disjoint_cycles,
     from_cycles,
     inverse,
@@ -199,6 +198,24 @@ def canonical_rep(lam: Partition, m: int) -> Permutation:
     return Permutation(tuple(images))
 
 
+@lru_cache(maxsize=8)
+def _even_symbols(m: int) -> tuple[str, ...]:
+    return tuple(str(s) for s in range(2, 2 * m + 1, 2))
+
+
+def canonical_cycles(counts: tuple[tuple[int, int], ...], m: int) -> str:
+    """``cycle_string(canonical_rep(lam, m))`` from ``lam.counts`` alone: each
+    part k >= 2, in descending order, is a cycle of the next k even symbols."""
+    evens, text, j = _even_symbols(m), "", 0
+    for part, r in reversed(counts):
+        if part == 1:  # fixed points, and the last parts
+            break
+        for _ in range(r):
+            text += "(" + " ".join(evens[j:j + part]) + ")"
+            j += part
+    return text or "()"
+
+
 def predicted_intersection_order(lam: Partition) -> int:
     """prod over parts of (2i)^{r_i} * r_i!, the order of H i gHg^{-1}
     for any g in the class ``lam``."""
@@ -232,16 +249,10 @@ def intersection_subgroup(g: Permutation, m: int) -> list[Permutation]:
     return out
 
 
-def element_order(p: Permutation) -> int:
-    order = 1
-    for cyc in disjoint_cycles(p):
-        order = math.lcm(order, len(cyc))
-    return order
-
-
 def order_histogram(elements: Iterable[Permutation]) -> dict[int, int]:
-    """Multiset of element orders, a cheap isomorphism-invariant fingerprint."""
-    return dict(Counter(element_order(p) for p in elements))
+    """Multiset of element orders (the lcm of the cycle lengths), a cheap
+    isomorphism-invariant fingerprint."""
+    return dict(Counter(math.lcm(*map(len, disjoint_cycles(p))) for p in elements))
 
 
 def wreath_model(lam: Partition) -> tuple[int, dict[int, int]]:
@@ -400,12 +411,13 @@ def reduce_to_even_support(g: Permutation, m: int) -> EvenSupportReduction:
 
 @dataclass(frozen=True)
 class CosetClass:
-    """Classification record for one double coset."""
+    """Classification record for one double coset; ``canonical`` is the
+    cycle text of :func:`canonical_rep` (call it for the permutation)."""
 
     lam: Partition
     predicted_order: int
     coset_size: int
-    canonical: Permutation
+    canonical: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -414,7 +426,7 @@ class CosetClass:
             # interpreter's digit limit (coset_size has ~5700 digits at m = 1000)
             "predicted_order": str(Decimal(self.predicted_order)),
             "coset_size": str(Decimal(self.coset_size)),
-            "canonical": cycle_string(self.canonical),
+            "canonical": self.canonical,
         }
 
 
@@ -423,5 +435,5 @@ def coset_class(lam: Partition, m: int) -> CosetClass:
         lam,
         predicted_intersection_order(lam),
         double_coset_size(lam, m),
-        canonical_rep(lam, m),
+        canonical_cycles(lam.counts, m),
     )

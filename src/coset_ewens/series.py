@@ -159,6 +159,17 @@ def _exact_coeffs(beta: int, M: int) -> list[Fraction]:
 _SERIES_RANGE = "series coefficients through degree {} are out of float64 range"
 
 
+def _aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """Zeroed float64 array whose data starts on a 64-byte boundary (numpy
+    promises 16). The kernel's three buffers each take one, so their
+    placement, and with it the kernel's speed, does not follow earlier
+    heap use."""
+    nbytes = math.prod(shape) * 8
+    raw = np.zeros(nbytes + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(np.float64).reshape(shape)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # inf or nan: NumericRangeError
 def _float_product(betas: Sequence[float], M: int) -> np.ndarray:
     """Coefficients 0..M of the product for each beta, as the columns of an
@@ -171,7 +182,7 @@ def _float_product(betas: Sequence[float], M: int) -> np.ndarray:
     if M > SERIES_MAX_M:
         raise ResourceLimitError(f"series kernel limited to degree <= {SERIES_MAX_M}")
     B = len(betas)
-    crev, ju, tmp = np.zeros((B, M + 1)), np.zeros((B, M + 1)), np.empty((B, M + 1))
+    crev, ju, tmp = (_aligned_zeros((B, M + 1)) for _ in range(3))
     try:
         jc = 0  # crev[:, M - j] = c_j, nonzero for j < jc
         while jc <= M and any(row := [math.exp(-b * (math.lgamma(jc + 1) + jc * math.log(2.0)))

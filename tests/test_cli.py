@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coset_ewens import cli, series
+from coset_ewens import cli, cosets, perm, series
 from coset_ewens.cli import main
 from coset_ewens.cosets import partition_of
 from coset_ewens.perm import Permutation
@@ -48,6 +48,14 @@ class TestClassify:
         assert code == 0
         assert env["payload"]["lambda"] == "1^1 2^1"
         assert env["payload"]["predicted_order"] == "8"
+
+    def test_builds_no_representative(self, capsys, monkeypatch):
+        # input_cycles still walks the input, so only canonical_rep is refused
+        expected = run_json(capsys, ["classify", "()", "1000"])[1]["payload"]
+        monkeypatch.setattr(cosets, "canonical_rep", fail)
+        monkeypatch.setattr(cli, "canonical_rep", fail)
+        code, env = run_json(capsys, ["classify", "()", "1000"])
+        assert code == 0 and env["payload"] == expected
 
     def test_parse_failure_exit_2(self, capsys):
         code, env = run_json(capsys, ["classify", "(1 99)", "2"])
@@ -107,6 +115,16 @@ class TestDoubleCosets:
         assert rec["predicted_order"] == "32"
         assert rec["coset_size"] == "4608"
         assert rec["canonical"] == "(2 4)"
+
+    def test_no_permutation_walk_for_the_representatives(self, capsys, monkeypatch):
+        # the canonical text comes from the partition; the payload must not change
+        expected = run_json(capsys, ["double-cosets", "12"])[1]["payload"]
+        monkeypatch.setattr(perm, "disjoint_cycles", fail)
+        monkeypatch.setattr(cosets, "disjoint_cycles", fail)
+        monkeypatch.setattr(cosets, "canonical_rep", fail)
+        monkeypatch.setattr(cli, "canonical_rep", fail)
+        code, env = run_json(capsys, ["double-cosets", "12"])
+        assert code == 0 and env["payload"] == expected
 
     def test_resource_cap_exit_4(self, capsys):
         code, env = run_json(capsys, ["double-cosets", "95"])

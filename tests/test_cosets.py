@@ -5,7 +5,7 @@ import random
 import pytest
 
 from coset_ewens.errors import ResourceLimitError
-from coset_ewens.partitions import Partition, enumerate_partitions
+from coset_ewens.partitions import Partition, enumerate_partitions, iter_counts
 from coset_ewens.perm import (
     Permutation,
     compose,
@@ -17,6 +17,7 @@ from coset_ewens.perm import (
 )
 from coset_ewens.cosets import (
     base_involution,
+    canonical_cycles,
     canonical_rep,
     double_coset_size,
     enumerate_H,
@@ -257,6 +258,33 @@ class TestCanonicalRep:
                     cycles.append(tuple(2 * (j + t) for t in range(part)))
                     j += part
                 assert canonical_rep(lam, m) == from_cycles(2 * m, cycles)
+
+
+class TestCanonicalCycles:
+    """The text built from the parts alone against the walked representative."""
+
+    @staticmethod
+    def check(counts, m):
+        oracle = cycle_string(canonical_rep(Partition(counts, m), m))
+        assert canonical_cycles(counts, m) == oracle, (counts, m)
+
+    def test_every_partition_m_le_25(self):
+        for m in range(26):
+            for lam in enumerate_partitions(m):
+                self.check(lam.counts, m)
+
+    def test_every_20th_partition_m45(self):
+        checked = 0
+        for counts, _ in itertools.islice(iter_counts(45), 0, None, 20):
+            self.check(counts, 45)
+            checked += 1
+        assert checked > 4000
+
+    def test_fixed_cases(self):
+        assert canonical_cycles(((1, 3),), 3) == "()"
+        assert canonical_cycles((), 0) == "()"
+        assert canonical_cycles(((1, 1), (2, 2)), 5) == "(2 4)(6 8)"
+        assert canonical_cycles(((5, 1),), 5) == "(2 4 6 8 10)"
 
 
 class TestOrderFormulas:

@@ -36,6 +36,8 @@ COMMANDS = [
     "classify [3,5,1,6,2,4,8,7] 4",
     "verify 4",
     "tails 1000 2",
+    'classify "(1 3 5)(2 8)(10 12 14 16)" 1000',
+    "double-cosets 0",
 ]
 
 

@@ -20,6 +20,7 @@ from coset_ewens.series import (
     log_W_direct,
     log_W_one_closed,
     right_tail_bound,
+    _aligned_zeros,
     _exact_coeffs,
     _float_product,
     _zeta_tail,
@@ -261,6 +262,19 @@ class TestBatchedKernel:
             assert_close(grid[:, k], one_beta_product(b, M))
             assert np.array_equal(grid[:, k], _float_product((b,), M)[:, 0]), b
         assert grid.tobytes() == _float_product(betas, M).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 20001), (3, 7), (65, 1001)])
+    def test_kernel_buffers_start_on_64_bytes(self, shape):
+        # each float64 array held before the call shifts the heap by 8 bytes or so
+        held = []
+        for k in range(1, 9):
+            held.append(np.empty(k))
+            a = _aligned_zeros(shape)
+            assert a.ctypes.data % 64 == 0
+            assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+            assert not a.any()
+            a[...] = 1.0  # the whole view is writable memory of its own
+            held.append(a)
 
     def test_exact_mode_agreement(self):
         for beta in range(5):
