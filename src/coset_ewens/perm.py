@@ -47,9 +47,6 @@ class Permutation:
             raise ValueError(f"symbol {symbol} out of range 1..{self.n}")
         return self.images[symbol - 1] + 1
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
     def __str__(self) -> str:
         return cycle_string(self)
 

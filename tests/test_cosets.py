@@ -27,7 +27,6 @@ from coset_ewens.cosets import (
     order_histogram,
     partition_of,
     predicted_intersection_order,
-    preserves_blocks,
     reduce_to_even_support,
     tc_decompose,
     wreath_model,
@@ -41,6 +40,33 @@ def all_perms(n):
 def rand_perm(rng, n):
     images = list(range(n))
     rng.shuffle(images)
+    return Permutation(tuple(images))
+
+
+def centralizes_h0(g, m):
+    """Oracle for is_in_H: H as the centralizer of the base involution."""
+    h0 = base_involution(m)
+    return conjugate(h0, g) == h0
+
+
+def intersection_oracle(g, m):
+    """Oracle for intersection_subgroup: h is in gHg^{-1} iff g^{-1} h g
+    centralizes the base involution."""
+    ginv = inverse(g)
+    out = [h for h in enumerate_H(m) if centralizes_h0(conjugate(h, ginv), m)]
+    out.sort(key=lambda p: p.images)
+    return out
+
+
+def rand_H_element(rng, m):
+    """A random element of H: a random block permutation with random
+    in-block swaps."""
+    sigma = list(range(m))
+    rng.shuffle(sigma)
+    images = [0] * (2 * m)
+    for k, b in enumerate(sigma):
+        swap = rng.getrandbits(1)
+        images[2 * k], images[2 * k + 1] = 2 * b + swap, 2 * b + (swap ^ 1)
     return Permutation(tuple(images))
 
 
@@ -102,12 +128,24 @@ class TestMembership:
         assert not is_in_H(from_cycles(4, [(1, 3)]), 2)
 
     def test_centralizer_equals_block_preservation(self):
-        for g in all_perms(4):
-            assert is_in_H(g, 2) == preserves_blocks(g, 2)
+        for m in range(1, 5):
+            for g in all_perms(2 * m):
+                assert is_in_H(g, m) == centralizes_h0(g, m)
         rng = random.Random(5)
         for _ in range(300):
             g = rand_perm(rng, 12)
-            assert is_in_H(g, 6) == preserves_blocks(g, 6)
+            assert is_in_H(g, 6) == centralizes_h0(g, 6)
+        # members, and the same elements times a random transposition
+        members = 0
+        for _ in range(200):
+            h = rand_H_element(rng, 50)
+            i, j = rng.sample(range(100), 2)
+            images = list(h.images)
+            images[i], images[j] = images[j], images[i]
+            for g in (h, Permutation(tuple(images))):
+                assert is_in_H(g, 50) == centralizes_h0(g, 50)
+                members += is_in_H(g, 50)
+        assert 200 <= members < 400
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -347,6 +385,16 @@ class TestIntersectionSubgroup:
             lhs = {p.images for p in intersection_subgroup(compose(h, g), m)}
             rhs = {conjugate(p, h).images for p in intersection_subgroup(g, m)}
             assert lhs == rhs
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_equals_conjugation_oracle(self, m):
+        # whole lists, so the order is checked too
+        gs = [canonical_rep(lam, m) for lam in enumerate_partitions(m)]
+        if m >= 2:
+            rng = random.Random(40 + m)
+            gs += [rand_perm(rng, 2 * m) for _ in range(10)]
+        for g in gs:
+            assert intersection_subgroup(g, m) == intersection_oracle(g, m)
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):

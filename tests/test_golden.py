@@ -38,6 +38,7 @@ COMMANDS = [
     "tails 1000 2",
     'classify "(1 3 5)(2 8)(10 12 14 16)" 1000',
     "double-cosets 0",
+    "verify 5",
 ]
 
 
