@@ -237,58 +237,57 @@ def _zeta_tail(s: float, N: int) -> tuple[float, float]:
     return est, rem
 
 
-_W_AT_ONE_MAX_N = 30_000_000
+_R3 = 0.64  # |log I_beta(x) - x - (a - 1/2) x^2| <= _R3 x^3 for x <= 1/6, beta > 1
 
 
 @lru_cache(maxsize=4)
 def W_at_one(beta: float) -> WAtOneResult:
-    """prod_{i>=1} I_beta((2i)^{-beta}) with a certified truncation error.
+    """prod_{i>=1} I_beta((2i)^{-beta}) with a certified error bound.
 
-    The product is summed in log space over i <= N; the omitted factors
-    satisfy x - x^2/2 <= log I_beta(x) <= x for x = (2i)^{-beta} <= 1/2,
-    so their total is pinned between Euler-Maclaurin tail sums whose
-    midpoint is applied as a correction and whose half-width enters the
-    certified bound.  N is chosen to keep the bound below 1e-10.
+    The factors i <= N are summed in log space in one pass.  For the
+    omitted ones x = (2i)^{-beta} <= 1/2002; write a = 2^{-beta} < 1/2 and
+    I_beta(x) = 1 + y.  For 0 < x <= 1/6, y = x + a x^2 + rho with
+    0 <= rho <= e^x - 1 - x - x^2/2 <= x^3/5, so y <= 1.09 x, and
+    y - y^2/2 <= log(1 + y) <= y - y^2/2 + y^3/3 bound
+    R(x) = log I_beta(x) - x - (a - 1/2) x^2 = rho - (y^2 - x^2)/2 + (log(1+y) - y + y^2/2)
+    below by -(y^2 - x^2)/2 >= -0.56 x^3 and above by rho + y^3/3 <= 0.64 x^3.
+    With S(s) = sum_{i>N} i^{-s} from ``_zeta_tail``, the omitted log is
+    a S(beta) + (a - 1/2) a^2 S(2 beta), applied as a correction, within
+    0.64 a^3 S(3 beta) plus the tail sums' own errors and a rounding
+    allowance of (log2 N + 8) 2^-53 times the log's size.  N is the least
+    value >= 1000 with 0.64 a^3 N^{1 - 3 beta} / (3 beta - 1) <= 5e-12, an
+    integral above S(3 beta).  The left side decreases in beta, so
+    N < 9e4 for every beta > 1.  Near beta = 1 the value leaves float64:
+    NumericRangeError.
     """
     beta = float(beta)
     if beta <= 1.0:
         raise ValueError("W_at_one requires beta > 1 (the product diverges at 1)")
-    target = 2e-11
-    need = (2.0 ** (-2.0 * beta) / ((2.0 * beta - 1.0) * target)) ** (1.0 / (2.0 * beta - 1.0))
+    a = 2.0 ** -beta
+    need = (_R3 * a**3 / ((3.0 * beta - 1.0) * 5e-12)) ** (1.0 / (3.0 * beta - 1.0))
     N = max(1000, int(need) + 1)
-    if N > _W_AT_ONE_MAX_N:
-        raise ResourceLimitError(
-            f"W_at_one cannot certify 1e-10 for beta={beta} (needs N={N})")
 
     jmax = 40
     inv_fact_pow = np.array([math.exp(-beta * math.lgamma(j + 1))
                              for j in range(1, jmax + 1)])
-    log_total = 0.0
-    chunk = 1_000_000
-    for start in range(1, N + 1, chunk):
-        stop = min(N, start + chunk - 1)
-        # four chunk-sized buffers, updated in place and freed before the next chunk
-        x = np.arange(start, stop + 1, dtype=np.float64)
-        x *= 2.0
-        np.power(x, -beta, out=x)
-        series = np.zeros_like(x)
-        p = np.ones_like(x)
-        term = np.empty_like(x)
-        for j in range(jmax):
-            p *= x
-            series += np.multiply(p, inv_fact_pow[j], out=term)
-            if p.max() * inv_fact_pow[min(j + 1, jmax - 1)] < 1e-25:
-                break
-        log_total += float(np.sum(np.log1p(series, out=series)))
-        del x, p, term, series
+    x = (2.0 * np.arange(1, N + 1)) ** -beta
+    series = np.zeros_like(x)
+    p = np.ones_like(x)
+    for j in range(jmax):
+        p *= x
+        series += p * inv_fact_pow[j]
+        if p.max() * inv_fact_pow[min(j + 1, jmax - 1)] < 1e-25:
+            break
+    log_total = float(np.sum(np.log1p(series, out=series)))
 
-    s1, e1 = _zeta_tail(beta, N)
-    s2, e2 = _zeta_tail(2.0 * beta, N)
-    tail_mid = 2.0 ** (-beta) * s1 - 0.25 * (2.0 ** (-2.0 * beta)) * s2
-    uncertainty = (0.25 * (2.0 ** (-2.0 * beta)) * s2
-                   + 2.0 ** (-beta) * e1 + 2.0 ** (-2.0 * beta) * e2
-                   + 1e-13)
-    value = math.exp(log_total + tail_mid)
+    (s1, e1), (s2, e2), (s3, e3) = (_zeta_tail(k * beta, N) for k in (1, 2, 3))
+    tail_mid = a * s1 + (a - 0.5) * a * a * s2
+    uncertainty = (_R3 * a**3 * (s3 + e3) + a * e1 + (0.5 - a) * a * a * e2
+                   + (math.log2(N) + 8) * 2.0**-53 * (abs(log_total) + abs(tail_mid)))
+    try:
+        value = math.exp(log_total + tail_mid)
+    except OverflowError:
+        raise NumericRangeError(f"W_at_one({beta}) is out of float64 range") from None
     return WAtOneResult(value, value * math.expm1(uncertainty) + 1e-15, N)
 
 
@@ -418,7 +417,7 @@ def asymptotic_diagnostic(beta: float, m_list: Sequence[int]) -> list[Asymptotic
         raise ValueError("m_list must be nonempty")
     if min(m_list) < 1:
         raise ValueError(f"every m must be >= 1, got {min(m_list)}")
-    # keep only the listed degrees: the kernel's arrays are freed before W_at_one
+    # index at once: only the listed degrees outlive the kernel's buffers
     coeffs = _float_product((beta,), max(m_list))[list(m_list), 0].tolist()
     limit = W_at_one(beta).value / 2.0**beta
     rows = []

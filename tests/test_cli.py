@@ -340,6 +340,18 @@ class TestAsymptotics:
         pay = env["payload"]
         assert pay["limit"] == pay["product_at_one"] / 2.0**1.7
 
+    def test_near_one_is_certified(self, capsys):
+        code, env = run_json(capsys, ["asymptotics", "1.05", "--m-list", "50,200"])
+        assert code == 0
+        pay = env["payload"]
+        assert pay["product_error_bound"] < 1e-11 * pay["product_at_one"]
+
+    def test_product_overflow_is_numeric_range(self, capsys):
+        code, env = run_json(capsys, ["asymptotics", "1.0001", "--m-list", "50"])
+        assert code == 5
+        assert env["error"]["code"] == "numeric_range"
+        assert "payload" not in env
+
     @pytest.mark.parametrize("argv", [["--m-list=-1,5"], ["--m-list", "0"]])
     def test_m_below_one_is_usage(self, capsys, argv):
         code, env = run_json(capsys, ["asymptotics", "2.0", *argv])

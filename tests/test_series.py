@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +77,59 @@ def assert_close(got, want):
 def assert_grid_close(got, want):
     assert [p for p, _ in got] == [p for p, _ in want]
     assert_close([v for _, v in got], [v for _, v in want])
+
+
+def W_at_one_first_order(beta: float) -> tuple[float, float]:
+    """Oracle: the product at z = 1 as (value, error bound), summed over
+    i <= N in 10^6-element chunks with the omitted factors bracketed to
+    first order, x - x^2/2 <= log I_beta(x) <= x; N ~ 1e7 at beta = 1.2."""
+    target = 2e-11
+    need = (2.0 ** (-2.0 * beta) / ((2.0 * beta - 1.0) * target)) ** (1.0 / (2.0 * beta - 1.0))
+    N = max(1000, int(need) + 1)
+    jmax = 40
+    inv_fact_pow = np.array([math.exp(-beta * math.lgamma(j + 1))
+                             for j in range(1, jmax + 1)])
+    log_total = 0.0
+    chunk = 1_000_000
+    for start in range(1, N + 1, chunk):
+        stop = min(N, start + chunk - 1)
+        x = np.arange(start, stop + 1, dtype=np.float64)
+        x *= 2.0
+        np.power(x, -beta, out=x)
+        series = np.zeros_like(x)
+        p = np.ones_like(x)
+        term = np.empty_like(x)
+        for j in range(jmax):
+            p *= x
+            series += np.multiply(p, inv_fact_pow[j], out=term)
+            if p.max() * inv_fact_pow[min(j + 1, jmax - 1)] < 1e-25:
+                break
+        log_total += float(np.sum(np.log1p(series, out=series)))
+    s1, e1 = _zeta_tail(beta, N)
+    s2, e2 = _zeta_tail(2.0 * beta, N)
+    tail_mid = 2.0 ** (-beta) * s1 - 0.25 * (2.0 ** (-2.0 * beta)) * s2
+    uncertainty = (0.25 * (2.0 ** (-2.0 * beta)) * s2
+                   + 2.0 ** (-beta) * e1 + 2.0 ** (-2.0 * beta) * e2
+                   + 1e-13)
+    value = math.exp(log_total + tail_mid)
+    return value, value * math.expm1(uncertainty) + 1e-15
+
+
+def second_order_remainder(beta: float, x: float) -> Decimal:
+    """R(x) = log I_beta(x) - x - (2^{-beta} - 1/2) x^2 in 60-digit decimal.
+    With I_beta(x) = 1 + y and y = x + a x^2 + rho, R is summed as
+    rho - (y^2 - x^2)/2 + (log(1 + y) - y + y^2/2), each series taken
+    term by term: at x ~ 1e-132 the difference log I_beta(x) - x is lost
+    at any fixed precision, while these terms are all of order x^3."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        b, x = Decimal(beta), Decimal(x)
+        a = (-b * Decimal(2).ln()).exp()
+        rho = sum(x**j * (-b * Decimal(math.factorial(j)).ln()).exp() for j in range(3, 80))
+        d = a * x * x + rho  # y - x
+        y = x + d
+        log_rest = sum((-1) ** (k + 1) * y**k / k for k in range(3, 120))
+        return rho - d * (2 * x + d) / 2 + log_rest
 
 
 def fraction_product(beta: int, M: int) -> list[Fraction]:
@@ -402,17 +456,42 @@ class TestWAtOne:
         for beta in (1.5, 2.0, 3.0):
             assert W_at_one(beta).error_bound < 1e-10
 
+    @pytest.mark.parametrize("beta", [1.2, 1.3, 1.5, 2.0, 3.0, 5.0, 20.0])
+    def test_agrees_with_first_order_oracle(self, beta):
+        w = W_at_one(beta)
+        value, bound = W_at_one_first_order(beta)
+        assert abs(w.value - value) <= w.error_bound + bound
+        assert w.error_bound <= bound
+
+    @pytest.mark.parametrize("beta", [1 + 1e-9, 1.2, 2.0, 5.0, 40.0])
+    def test_second_order_remainder_bracket(self, beta):
+        # the docstring's bracket -0.56 x^3 <= R(x) <= 0.64 x^3 on x <= 1/6,
+        # whose upper end W_at_one uses as the half-width constant
+        for x in (1 / 6, 1e-2, 1e-4, (2.0 * 1001) ** -beta):
+            r = second_order_remainder(beta, x) / Decimal(x) ** 3
+            assert -0.56 <= r <= series._R3, (x, r)
+
+    def test_truncation_near_one(self):
+        # N shrinks as beta grows, so beta = 1.001 is near the largest N
+        assert W_at_one(1.001).truncation <= 120_000
+
+    def test_overflow_near_one_is_numeric_range(self):
+        with pytest.raises(NumericRangeError):
+            W_at_one(1.0001)
+
 
 def test_zeta_tail_certificate():
-    for s, N in [(2.0, 10), (1.5, 25), (4.0, 8)]:
+    # (3.6, 1000) and (6.0, 1000): S(3 beta) sums of W_at_one, at beta = 1.2 and 2
+    for s, N in [(2.0, 10), (1.5, 25), (4.0, 8), (3.6, 1000), (6.0, 1000)]:
         M = 2_000_000
-        brute = sum(i ** -s for i in range(N + 1, M + 1))
+        brute = math.fsum(i ** -s for i in range(N + 1, M + 1))
         # integral bracket for the part of the tail the brute sum misses
         missing_lo = (M + 1) ** (1 - s) / (s - 1)
         missing_hi = M ** (1 - s) / (s - 1)
         est, err = _zeta_tail(s, N)
-        assert est <= brute + missing_hi + err + 1e-12
-        assert est >= brute + missing_lo - err - 1e-12
+        slack = 1e-12 * brute  # the brute sum's own rounding, relative
+        assert est <= brute + missing_hi + err + slack
+        assert est >= brute + missing_lo - err - slack
 
 
 class TestLeftTailBound:
