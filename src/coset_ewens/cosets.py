@@ -15,14 +15,14 @@ graph as an independent oracle for the classifier.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ResourceLimitError
 from .partitions import Partition
@@ -61,29 +61,48 @@ def is_in_H(g: Permutation, m: int) -> bool:
     return True
 
 
+def _check_m(m: int, cap: int, name: str) -> None:
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m > cap:
+        raise ResourceLimitError(f"{name} limited to m <= {cap}")
+
+
+def _lex_permutations(n: int) -> np.ndarray:
+    """S_n as an (n!, n) int8 array of 0-indexed images in lexicographic
+    order: the rows starting with f are f, then S_{n-1} on the other symbols."""
+    P = np.zeros((1, 0), np.int8)
+    for k in range(1, n + 1):
+        P = np.concatenate([np.column_stack((np.full(len(P), f, np.int8), P + (P >= f)))
+                            for f in range(k)])
+    return P
+
+
+@lru_cache(maxsize=2)
+def _H_array(m: int) -> np.ndarray:
+    """H as a read-only (2^m m!, 2m) int8 array of 0-indexed images, in the
+    order of :func:`enumerate_H`: block permutations in lexicographic
+    order, and under each the sign vectors counted in binary; sign s_k
+    sends block k onto block sigma(k) with its two symbols swapped."""
+    blocks = 2 * _lex_permutations(m)[:, None, :, None]  # (m!, 1, m, 1)
+    signs = ((np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.int8)
+    H = (blocks + (signs[:, :, None] ^ np.array([0, 1], np.int8))).reshape(-1, 2 * m)
+    H.flags.writeable = False
+    return H
+
+
 def enumerate_H(m: int) -> list[Permutation]:
     """All 2^m * m! elements of H, generated as (sign vector, block
     permutation) pairs, in a fixed deterministic order."""
-    if not 1 <= m <= ENUMERATE_H_MAX_M:
-        raise ResourceLimitError(
-            f"enumerate_H limited to 1 <= m <= {ENUMERATE_H_MAX_M} "
-            f"(|H| = 2^m m! grows too fast)"
-        )
-    out = []
-    for sigma in itertools.permutations(range(m)):
-        for signs in itertools.product((0, 1), repeat=m):
-            images = [0] * (2 * m)
-            for k in range(m):
-                b = sigma[k]
-                images[2 * k] = 2 * b + signs[k]
-                images[2 * k + 1] = 2 * b + (signs[k] ^ 1)
-            out.append(Permutation(tuple(images)))
-    return out
+    _check_m(m, ENUMERATE_H_MAX_M, "enumerate_H")
+    return [Permutation(tuple(row)) for row in _H_array(m).tolist()]
 
 
 def h_generators(m: int) -> list[Permutation]:
     """A small generating set of H: the first in-block swap plus adjacent
     block transpositions (all involutions)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     n = 2 * m
     gens = [from_cycles(n, [(1, 2)])]
     for k in range(1, m):
@@ -225,18 +244,13 @@ def intersection_subgroup(g: Permutation, m: int) -> list[Permutation]:
     images.  gHg^{-1} stabilises the image blocks {g(2k-1), g(2k)}, so h
     in H is kept iff it maps each image block onto an image block."""
     _check_degree(g, m)
-    if m > INTERSECTION_MAX_M:
-        raise ResourceLimitError(
-            f"intersection_subgroup limited to m <= {INTERSECTION_MAX_M}"
-        )
-    block = [0] * (2 * m)
-    for s, t in enumerate(g.images):
-        block[t] = s // 2
-    pairs = list(zip(g.images[0::2], g.images[1::2]))
-    out = [h for h in enumerate_H(m)
-           if all(block[h.images[a]] == block[h.images[b]] for a, b in pairs)]
-    out.sort(key=lambda p: p.images)
-    return out
+    _check_m(m, INTERSECTION_MAX_M, "intersection_subgroup")
+    img, block = np.array(g.images), np.argsort(g.images) // 2  # block[g(s)] = s // 2
+    H = _H_array(m)
+    # h sends the image pair (a, b) into one image block iff their blocks agree
+    kept = H[(block[H[:, img[0::2]]] == block[H[:, img[1::2]]]).all(axis=1)]
+    kept = kept[np.lexsort(kept.T[::-1])]
+    return [Permutation(tuple(row)) for row in kept.tolist()]
 
 
 def order_histogram(elements: Iterable[Permutation]) -> dict[int, int]:
@@ -316,44 +330,67 @@ class OrbitClass:
     representative: Permutation
 
 
+def _coset_type_lengths(P: np.ndarray) -> np.ndarray:
+    """Per row g of P, the cycle length of each symbol under
+    q = h0 * g h0 g^{-1}, sorted within the row.  q has cycle type
+    lam u lam for g of coset type lam (Macdonald VII.2), so a part k is 2k
+    symbols on k-cycles; independent of :func:`_walk`.  Column by column,
+    so that no (rows, 2m) index temporary is made."""
+    rows, n = P.shape
+    base = np.arange(0, rows * n, n, dtype=np.int32)  # flat offset of each row
+    q = np.empty_like(P)
+    for j in range(n):  # q(g(j)) = h0(g(h0(j))), h0 being s -> s ^ 1
+        q.reshape(-1)[base + P[:, j]] = P[:, j ^ 1] ^ 1
+    lengths, cur = np.zeros_like(P), q.copy()  # cur = q^t
+    for t in range(1, n + 1):
+        lengths[(cur == np.arange(n)) & (lengths == 0)] = t
+        if lengths.all():
+            break
+        for i in range(n):
+            cur[:, i] = q.reshape(-1)[base + cur[:, i]]
+    lengths.sort(axis=1)
+    return lengths
+
+
 def enumerate_double_cosets(m: int) -> list[OrbitClass]:
     """Orbit partition of S_2m under (h1, h2) . g = h1 g h2 (m <= 4).
 
-    Each orbit is checked for a constant class partition while it is
-    swept; orbits are returned sorted by their partition's text form.
+    S_2m is one int8 array in lexicographic order, so the base-8 keys of
+    its rows are sorted and binary search ranks the left and right
+    multiples of every row by each generator of H.  Min-label propagation
+    with pointer jumping labels each orbit by its least row.  Orbits are
+    checked for a constant :func:`_coset_type_lengths` and returned
+    sorted by their partition's text form.
     """
-    if not 1 <= m <= ORBIT_SWEEP_MAX_M:
-        raise ResourceLimitError(
-            f"enumerate_double_cosets limited to m <= {ORBIT_SWEEP_MAX_M}"
-        )
-    n = 2 * m
-    gens = [g.images for g in h_generators(m)]
-    rights = [itemgetter(*gen) for gen in gens]  # cur -> cur o gen
-    seen: set[tuple[int, ...]] = set()
-    orbits = []
-    for start in itertools.permutations(range(n)):
-        if start in seen:
-            continue
-        lengths = sorted(_walk(start, m)[1])
-        orbit_size = 0
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            cur = queue.popleft()
-            orbit_size += 1
-            if sorted(_walk(cur, m)[1]) != lengths:
-                raise AssertionError("class partition not constant on an orbit")
-            for gen, right_of in zip(gens, rights):
-                left = itemgetter(*cur)(gen)
-                if left not in seen:
-                    seen.add(left)
-                    queue.append(left)
-                right = right_of(cur)
-                if right not in seen:
-                    seen.add(right)
-                    queue.append(right)
-        lam = Partition.from_parts(lengths)
-        orbits.append(OrbitClass(lam, orbit_size, Permutation(start)))
+    _check_m(m, ORBIT_SWEEP_MAX_M, "enumerate_double_cosets")
+    n = 2 * m  # n <= 8: symbols are base-8 digits, keys fit in int32
+    P = _lex_permutations(n)
+
+    def keys_of(columns) -> np.ndarray:
+        key = np.zeros(len(P), np.int32)
+        for col in columns:
+            key <<= 3
+            key += col
+        return key
+
+    keys, neighbours = keys_of(P.T), []
+    for gen in h_generators(m):
+        img = np.array(gen.images, np.int8)
+        for columns in ((img[P[:, j]] for j in range(n)), (P[:, j] for j in img)):
+            neighbours.append(np.searchsorted(keys, keys_of(columns)).astype(np.int32))
+    label, before = np.arange(len(P), dtype=np.int32), None
+    while not np.array_equal(label, before):
+        before = label.copy()
+        for nb in neighbours:
+            np.minimum(label, label[nb], out=label)
+        label = label[label]
+    del keys, neighbours, before
+    lengths = _coset_type_lengths(P)
+    if np.any(lengths != lengths[label]):
+        raise AssertionError("class partition not constant on an orbit")
+    roots, sizes = np.unique(label, return_counts=True)
+    reps = [Permutation(tuple(row)) for row in P[roots].tolist()]
+    orbits = [OrbitClass(partition_of(g, m), c, g) for g, c in zip(reps, sizes.tolist())]
     orbits.sort(key=lambda o: str(o.lam))
     return orbits
 

@@ -1,7 +1,10 @@
 import itertools
 import math
 import random
+from collections import Counter, deque
+from operator import itemgetter
 
+import numpy as np
 import pytest
 
 from coset_ewens.errors import ResourceLimitError
@@ -15,13 +18,20 @@ from coset_ewens.perm import (
     identity,
     inverse,
 )
+import coset_ewens.cosets as cosets
 from coset_ewens.cosets import (
+    OrbitClass,
+    _H_array,
+    _coset_type_lengths,
+    _lex_permutations,
+    _walk,
     base_involution,
     canonical_cycles,
     canonical_rep,
     double_coset_size,
     enumerate_H,
     enumerate_double_cosets,
+    h_generators,
     intersection_subgroup,
     is_in_H,
     order_histogram,
@@ -56,6 +66,63 @@ def intersection_oracle(g, m):
     out = [h for h in enumerate_H(m) if centralizes_h0(conjugate(h, ginv), m)]
     out.sort(key=lambda p: p.images)
     return out
+
+
+def enumerate_H_oracle(m):
+    """Oracle for enumerate_H: the (block permutation, sign vector) pairs
+    as nested loops, one checked Permutation each."""
+    out = []
+    for sigma in itertools.permutations(range(m)):
+        for signs in itertools.product((0, 1), repeat=m):
+            images = [0] * (2 * m)
+            for k in range(m):
+                b = sigma[k]
+                images[2 * k] = 2 * b + signs[k]
+                images[2 * k + 1] = 2 * b + (signs[k] ^ 1)
+            out.append(Permutation(tuple(images)))
+    return out
+
+
+def orbit_sweep_oracle(m):
+    """Oracle for enumerate_double_cosets: a breadth-first search over
+    tuples from each unseen permutation in lexicographic order, checking
+    the walk's class partition on every element of the orbit."""
+    n = 2 * m
+    gens = [g.images for g in h_generators(m)]
+    rights = [itemgetter(*gen) for gen in gens]  # cur -> cur o gen
+    seen = set()
+    orbits = []
+    for start in itertools.permutations(range(n)):
+        if start in seen:
+            continue
+        lengths = sorted(_walk(start, m)[1])
+        orbit_size = 0
+        queue = deque([start])
+        seen.add(start)
+        while queue:
+            cur = queue.popleft()
+            orbit_size += 1
+            if sorted(_walk(cur, m)[1]) != lengths:
+                raise AssertionError("class partition not constant on an orbit")
+            for gen, right_of in zip(gens, rights):
+                left = itemgetter(*cur)(gen)
+                if left not in seen:
+                    seen.add(left)
+                    queue.append(left)
+                right = right_of(cur)
+                if right not in seen:
+                    seen.add(right)
+                    queue.append(right)
+        orbits.append(OrbitClass(Partition.from_parts(lengths), orbit_size, Permutation(start)))
+    orbits.sort(key=lambda o: str(o.lam))
+    return orbits
+
+
+def half_type(lengths):
+    """The coset type read off one row of _coset_type_lengths: a part k
+    is two k-cycles of q, so 2k symbols of cycle length k."""
+    return Partition.from_parts([k for k, c in Counter(lengths).items()
+                                 for _ in range(c // (2 * k))])
 
 
 def rand_H_element(rng, m):
@@ -169,9 +236,26 @@ class TestEnumerateH:
         assert from_enum == from_filter
         assert len(from_enum) == 48
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_equals_loop_oracle(self, m):
+        assert enumerate_H(m) == enumerate_H_oracle(m)
+
+    def test_array_read_only(self):
+        for m in (1, 3, 5):
+            H = _H_array(m)
+            assert not H.flags.writeable
+            with pytest.raises(ValueError):
+                H[0, 0] = 1
+
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             enumerate_H(9)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one_is_usage_error(self, m):
+        for fn in (enumerate_H, h_generators, enumerate_double_cosets):
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                fn(m)
 
 
 class TestTCDecompose:
@@ -441,6 +525,31 @@ class TestOrbitSweep:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             enumerate_double_cosets(5)
+
+    def test_lex_permutations(self):
+        for n in range(9):
+            expected = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+            got = _lex_permutations(n)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, expected.reshape(math.factorial(n), n))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_equals_bfs_oracle(self, m):
+        assert enumerate_double_cosets(m) == orbit_sweep_oracle(m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_invariant_equals_partition_of(self, m):
+        # half the cycle type of h0 * g h0 g^{-1}, against the walk, on all of S_2m
+        perms = list(itertools.permutations(range(2 * m)))
+        lengths = _coset_type_lengths(np.array(perms, dtype=np.int8))
+        for images, row in zip(perms, lengths.tolist()):
+            assert half_type(row) == partition_of(Permutation(images), m)
+
+    def test_constancy_check_fires(self, monkeypatch):
+        # the rows of P themselves are not constant on any orbit of size > 1
+        monkeypatch.setattr(cosets, "_coset_type_lengths", lambda P: P.copy())
+        with pytest.raises(AssertionError, match="not constant"):
+            enumerate_double_cosets(3)
 
 
 class TestEvenSupportReduction:
