@@ -28,7 +28,9 @@ from .errors import ResourceLimitError
 from .partitions import Partition
 from .perm import Permutation, compose, disjoint_cycles, from_cycles
 
-ENUMERATE_H_MAX_M = 8
+#: enumerate_H(7) already takes seconds and ~290 MiB (645 120 Permutations);
+#: m = 8 would need ~4.5 GiB, and no caller in the package goes above m = 5
+ENUMERATE_H_MAX_M = 6
 INTERSECTION_MAX_M = 5
 ORBIT_SWEEP_MAX_M = 4
 WREATH_MODEL_MAX_ORDER = 10**6

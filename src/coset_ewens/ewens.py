@@ -18,8 +18,9 @@ from .errors import ResourceLimitError
 from .partitions import Partition
 
 EXACT_TAIL_MAX_M = 60
-#: sampling refused above this m: at the cap the Monte Carlo gap table
-#: peaks at ~335 MiB, and one sample_partition draw at ~460 MiB
+#: sampling refused above this m: at the cap a Monte Carlo run peaks at
+#: ~182 MiB (the gap table and one build buffer), one sample_partition
+#: draw at ~460 MiB
 SAMPLE_MAX_M = 10**7
 
 #: two-sided 95% normal quantile, used by the Wilson score radius
@@ -196,16 +197,50 @@ def sample_partition(m: int, theta: float, seed: int) -> Partition:
 
 @lru_cache(maxsize=2)
 def _gap_prefix(m: int, theta: float) -> np.ndarray:
-    """Prefix sums G[j] = sum_{l=2..j+1} log((theta+l-1)/(l-1)), j=0..m-1.
+    """Prefix sums G[j] = sum_{l=2..j+1} log((theta+l-1)/(l-1)), j=0..m-1,
+    and the sentinel G[m] = +inf; read-only, since it is cached.
 
     With marks at positions 1..m drawn independently (position l marked
     with probability theta/(theta+l-1), position 1 always marked), the
     gap from a mark at i to the next mark satisfies
-    log P(no mark in (i, j]) = G[i-1] - G[j-1].
+    log P(no mark in (i, j]) = G[i-1] - G[j-1].  Built in the table's own
+    buffer plus one more of m floats; G[0] is -0.0.
     """
+    G = np.empty(m + 1)
+    body = G[1:m]
     l = np.arange(2, m + 1, dtype=np.float64)
-    steps = np.log((l - 1.0) / (theta + l - 1.0))
-    return -np.concatenate([[0.0], np.cumsum(steps)])
+    np.subtract(np.add(l, theta, out=body), 1.0, out=body)  # (theta + l) - 1.0
+    np.divide(np.subtract(l, 1.0, out=l), body, out=body)
+    np.negative(np.cumsum(np.log(body, out=body), out=body), out=body)
+    G[0], G[m] = -0.0, np.inf
+    G.flags.writeable = False
+    return G
+
+
+def _next_index(G: np.ndarray, q: np.ndarray, theta: float) -> np.ndarray:
+    """``np.searchsorted(G[:m], q, side="right")`` for the gap table G of
+    :func:`_gap_prefix` (m = G.size - 1) and levels q >= 0, +inf included:
+    the first j with G[j] > q, or m if there is none.
+
+    G[j] = log Gamma(j+1+theta) - log Gamma(1+theta) - log Gamma(j+1) is
+    about theta log(j + (1+theta)/2) - log Gamma(1+theta), so
+    exp((q + log Gamma(1+theta))/theta) + (1-theta)/2 guesses j; stepping
+    up while G[j] <= q, then down while G[j-1] > q, makes it exact.  Every
+    q >= G[m-1] has the answer m, so q is capped just above G[m-1]: exp
+    stays finite and q = +inf cannot step past the sentinel G[m] = +inf.
+    G[0] <= q keeps j >= 1.
+    """
+    q = np.minimum(q, G[-2] + theta)
+    g = q + math.lgamma(1.0 + theta)
+    g /= theta
+    np.exp(g, out=g)
+    g += (1.0 - theta) / 2
+    j = np.clip(g, 1, G.size - 1, out=g).astype(np.int64)
+    while (step := G[j] <= q).any():
+        j += step
+    while (step := G[j - 1] > q).any():
+        j -= step
+    return j
 
 
 def _sample_parts_chunk(m: int, theta: float, seed: int, chunk_index: int,
@@ -218,19 +253,20 @@ def _sample_parts_chunk(m: int, theta: float, seed: int, chunk_index: int,
     G = _gap_prefix(m, theta)
     base = chunk_index << _CHUNK_SHIFT
     active = np.arange(count, dtype=np.int64)
-    positions = np.ones(count, dtype=np.int64)  # last mark of each active lane
+    last = np.zeros(count, dtype=np.int64)  # i - 1 for the last mark i of each lane
     lanes, sizes = [], []
     rnd = 0
-    while active.size:
-        u = rng.uniform01_array(seed, base + (rnd << _ROUND_SHIFT) + active)
-        with np.errstate(divide="ignore"):
-            log_u = np.log(u)
-        nxt = np.searchsorted(G, G[positions - 1] - log_u, side="right") + 1
-        lanes.append(active)
-        sizes.append(nxt - positions)
-        keep = nxt <= m
-        active, positions = active[keep], nxt[keep]
-        rnd += 1
+    # u = 0 gives the level +inf: no further mark, the lane ends at m
+    with np.errstate(divide="ignore"):
+        while active.size:
+            u = rng.uniform01_array(seed, base + (rnd << _ROUND_SHIFT) + active)
+            # the next mark is j + 1 for the first j with G[j] > G[i-1] - log u
+            nxt = _next_index(G, np.subtract(G[last], np.log(u, out=u), out=u), theta)
+            lanes.append(active)
+            sizes.append(nxt - last)
+            keep = nxt < m
+            active, last = active[keep], nxt[keep]
+            rnd += 1
     return np.concatenate(lanes), np.concatenate(sizes)
 
 
@@ -263,22 +299,37 @@ def _chunk_hits(m: int, c: float, seed: int, chunk_index: int, count: int,
     lane within 1e-9 of c log m is decided exactly, once per class across
     chunks (``band`` maps ((size, multiplicity), ...) to the decision)."""
     lanes, sizes = _sample_parts_chunk(m, 0.5, seed, chunk_index, count)
-    # one row per distinct (lane, size), in lane order, with multiplicity r
-    rows, r = np.unique(lanes * (m + 1) + sizes, return_counts=True)
-    lanes, sizes = np.divmod(rows, m + 1)
+    # one key per distinct (lane, size), the lane above the size's bits, in
+    # lane order, with multiplicity r
+    bits = m.bit_length()
+    keys, r = np.unique((lanes << bits) | sizes, return_counts=True)
+    lanes, sizes = keys >> bits, keys & ((1 << bits) - 1)
     log_fact = np.array([math.lgamma(k + 1) for k in range(int(r.max()) + 1)])
     lf = np.bincount(lanes, weights=r * np.log(2.0 * sizes) + log_fact[r],
                      minlength=count)
     target = c * math.log(m)
     near = np.abs(lf - target) < 1e-9
     hits = int(np.count_nonzero(~near & (lf < target)))
-    # rows are sorted by lane, so each band lane's rows are one slice
-    bounds = np.searchsorted(lanes, np.flatnonzero(near)[:, None] + np.array([0, 1]))
-    for a, b in bounds.tolist():
-        key = tuple(zip(sizes[a:b].tolist(), r[a:b].tolist()))
+    if not near.any():
+        return hits
+    # keys are sorted by lane, then size: a band lane's (size, r) pairs,
+    # zero-padded, are one table row, and the distinct rows are the classes
+    # (np.unique on each row viewed as one bytes value: with axis=0 it
+    # sorts a structured dtype field by field, several times slower)
+    in_band = near[lanes]
+    band_lanes = lanes[in_band]
+    first = np.diff(band_lanes, prepend=-1) != 0  # a band lane's first pair
+    row = np.cumsum(first) - 1
+    col = 2 * (np.arange(band_lanes.size) - np.flatnonzero(first)[row])
+    table = np.zeros((int(row[-1]) + 1, int(col.max()) + 2), dtype=np.int64)
+    table[row, col], table[row, col + 1] = sizes[in_band], r[in_band]
+    classes, n = np.unique(table.view(f"V{table.itemsize * table.shape[1]}"),
+                           return_counts=True)
+    for flat, k in zip(classes.view(np.int64).reshape(n.size, -1).tolist(), n.tolist()):
+        key = tuple((size, mult) for size, mult in zip(flat[::2], flat[1::2]) if size)
         if key not in band:
             band[key] = f_leq_threshold(f_of(Partition.trusted(key, m)), m, c)
-        hits += band[key]
+        hits += k * band[key]
     return hits
 
 

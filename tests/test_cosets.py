@@ -251,6 +251,11 @@ class TestEnumerateH:
         with pytest.raises(ResourceLimitError):
             enumerate_H(9)
 
+    def test_cap_refuses_m7(self):
+        # 645 120 Permutations at m = 7: refused before any is built
+        with pytest.raises(ResourceLimitError, match="m <= 6"):
+            enumerate_H(7)
+
     @pytest.mark.parametrize("m", [0, -1])
     def test_m_below_one_is_usage_error(self, m):
         for fn in (enumerate_H, h_generators, enumerate_double_cosets):

@@ -20,6 +20,8 @@ from coset_ewens.ewens import (
     wilson_radius,
     SAMPLE_MAX_M,
     _chunk_hits,
+    _gap_prefix,
+    _next_index,
     _part_sizes,
     _sample_parts_chunk,
 )
@@ -396,6 +398,92 @@ def test_gap_sampler_matches_reference(m, count):
         assert [sorted(p) for p in got] == [sorted(p) for p in want]
 
 
+def gap_prefix_oracle(m, theta):
+    """Oracle: the gap table as built before it moved into its own buffer
+    (no sentinel)."""
+    l = np.arange(2, m + 1, dtype=np.float64)
+    return -np.concatenate([[0.0], np.cumsum(np.log((l - 1.0) / (theta + l - 1.0)))])
+
+
+class TestGapPrefix:
+    @pytest.mark.parametrize("theta", [0.01, 0.5, 3.7])
+    def test_bit_identical_to_oracle(self, theta):
+        for m in (1, 2, 16, 1000, 10**5):
+            G = _gap_prefix(m, theta)
+            assert G.size == m + 1 and G[m] == np.inf
+            assert G[:m].tobytes() == gap_prefix_oracle(m, theta).tobytes()
+            assert np.signbit(G[0])  # -0.0, as the negated cumulative sum gave
+
+    def test_read_only(self):
+        G = _gap_prefix(16, 0.5)
+        assert not G.flags.writeable
+        with pytest.raises(ValueError):
+            G[3] = 0.0
+
+
+@pytest.mark.parametrize("theta", [0.01, 0.1, 0.5, 1, 3, 10])
+@pytest.mark.parametrize("m", [1, 2, 16, 1000, 10**5])
+def test_next_index_matches_searchsorted(theta, m):
+    """Oracle: the binary search the guessed index replaced, on the
+    sampler's levels G[i-1] - log u (random u, and the edges u = 0, which
+    gives q = +inf, and u = 1 - 2^-53) and on q equal to every G entry."""
+    G = _gap_prefix(m, theta)
+    n = 30_000
+    u = rng.uniform01_array(2718, np.arange(n))
+    u[::7], u[1::7] = 0.0, 1.0 - 2.0**-53
+    i = 1 + np.arange(n) % m
+    with np.errstate(divide="ignore"):
+        q = np.concatenate([G[i - 1] - np.log(u), G[:m]])
+    assert np.isinf(q).any()
+    want = np.searchsorted(G[:m], q, side="right")
+    assert _next_index(G, q, theta).tolist() == want.tolist()
+
+
+def test_next_index_infinite_level_at_m1():
+    # at m = 1 the guess is already the sentinel's index; an uncapped
+    # q = +inf would step past G[1] = +inf and index out of the table
+    for theta in (0.01, 0.5, 10):
+        q = np.array([np.inf, 0.0, 1e300])
+        assert _next_index(_gap_prefix(1, theta), q, theta).tolist() == [1, 1, 1]
+
+
+def chunk_hits_oracle(m, c, seed, chunk_index, count, band):
+    """Oracle: ``_chunk_hits`` with the per-lane guard-band loop it replaced,
+    one tuple key per band lane."""
+    lanes, sizes = _sample_parts_chunk(m, 0.5, seed, chunk_index, count)
+    rows, r = np.unique(lanes * (m + 1) + sizes, return_counts=True)
+    lanes, sizes = np.divmod(rows, m + 1)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(int(r.max()) + 1)])
+    lf = np.bincount(lanes, weights=r * np.log(2.0 * sizes) + log_fact[r],
+                     minlength=count)
+    target = c * math.log(m)
+    near = np.abs(lf - target) < 1e-9
+    hits = int(np.count_nonzero(~near & (lf < target)))
+    bounds = np.searchsorted(lanes, np.flatnonzero(near)[:, None] + np.array([0, 1]))
+    for a, b in bounds.tolist():
+        key = tuple(zip(sizes[a:b].tolist(), r[a:b].tolist()))
+        if key not in band:
+            band[key] = f_leq_threshold(f_of(Partition.trusted(key, m)), m, c)
+        hits += band[key]
+    return hits
+
+
+C96 = math.log(96) / math.log(8)
+
+
+# (8, C96): the classes 1 3 4 and 1^2 6 both have f = 96 = 8^C96, so the
+# band holds keys of several part sizes, one with a multiplicity of 2
+@pytest.mark.parametrize("m, c", [(16, 1.25), (8, 4 / 3), (30, 2.5), (1000, 3), (8, C96)])
+def test_chunk_hits_match_per_lane_oracle(m, c):
+    band, oracle_band = {}, {}
+    for chunk in (0, 1, 7):
+        assert _chunk_hits(m, c, 99, chunk, 4096, band) \
+            == chunk_hits_oracle(m, c, 99, chunk, 4096, oracle_band)
+    assert band == oracle_band
+    if c == C96:
+        assert {((1, 1), (3, 1), (4, 1)), ((1, 2), (6, 1))} <= set(band)
+
+
 # 16, 1.25: the class {16} has f = 32 = 16^1.25 exactly, so about a quarter
 # of the samples sit in the guard band (decided on integers); 4/3 as a float
 # is decided by float logs with Decimal escalation
@@ -469,3 +557,69 @@ def test_mc_agrees_with_exact_on_grid():
         exact = float(good_probability_exact(m, c))
         report = good_probability_mc(m, c, 40000, 1234)
         assert abs(report.frequency - exact) < 4 * report.wilson_radius_95 + 1e-3
+
+
+# --- the law of the part count K, an observable the gap sampler draws
+# directly: P(K = k) is the coefficient of x^k in
+# prod_{i<m} (theta x + i)/(theta + i)
+
+def part_count_law(m, kmax):
+    """Exact P(K = k), k = 0..kmax, under Ewens(1/2): the coefficients of
+    prod_{i<m} (x + 2i)/(1 + 2i).  Truncating at degree kmax is exact, since
+    a coefficient depends only on those of lower degree."""
+    c = [1] + [0] * kmax
+    for i in range(m):
+        for k in range(kmax, 0, -1):
+            c[k] = c[k - 1] + 2 * i * c[k]
+        c[0] *= 2 * i
+    den = math.prod(range(1, 2 * m, 2))
+    return [Fraction(ck, den) for ck in c]
+
+
+def part_count_law_float(m, kmax, theta=0.5):
+    """P(K = k), k = 0..kmax, as the float product of (theta x + i)/(theta + i)."""
+    p = np.zeros(kmax + 1)
+    p[0] = 1.0
+    for i in range(m):
+        p[1:] = (theta * p[:-1] + i * p[1:]) / (theta + i)
+        p[0] *= i / (theta + i)
+    return p
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_part_count_law_matches_enumeration(m):
+    law = [Fraction(0)] * (m + 1)
+    for lam in enumerate_partitions(m):
+        law[sum(r for _, r in lam.counts)] += coset_probability(lam, m)
+    assert part_count_law(m, m) == law
+    assert part_count_law_float(m, m) == pytest.approx([float(p) for p in law], rel=1e-12)
+
+
+def test_part_count_law_float_matches_exact():
+    exact = part_count_law(1000, 40)
+    assert part_count_law_float(1000, 40) == pytest.approx(
+        [float(p) for p in exact], rel=1e-9, abs=1e-300)
+
+
+# the K test's own seeds, 5 chunks of 4096 samples each: N = 102 400
+K_SEEDS = (4101, 4202, 4303, 4404, 4505)
+
+
+@pytest.mark.parametrize("m", [1000, 10**4])
+def test_part_count_law_of_gap_sampler(m):
+    kmax = 40
+    p = (np.array([float(x) for x in part_count_law(m, kmax)]) if m <= 1000
+         else part_count_law_float(m, kmax))
+    hist = np.zeros(kmax + 1, dtype=np.int64)
+    for seed in K_SEEDS:
+        for chunk in range(5):
+            lanes, _ = _sample_parts_chunk(m, 0.5, seed, chunk, 4096)
+            hist += np.bincount(np.bincount(lanes, minlength=4096), minlength=kmax + 1)
+    n = int(hist.sum())
+    assert n == 5 * 5 * 4096 and hist.size == kmax + 1  # no K above kmax
+    tv = (np.abs(hist / n - p).sum() + max(0.0, 1.0 - p.sum())) / 2
+    # fixed from the sampling noise: E TV <= sum_k sqrt(p_k (1 - p_k) / n) / 2,
+    # and TV moves by at most 1/n per sample, so P(TV > E TV + t) <=
+    # exp(-2 n t^2) (McDiarmid); t for a 1e-9 chance
+    bound = np.sqrt(p * (1 - p) / n).sum() / 2 + math.sqrt(math.log(1e9) / (2 * n))
+    assert tv < bound, (tv, bound)
