@@ -20,7 +20,7 @@ from .partitions import Partition
 EXACT_TAIL_MAX_M = 60
 #: sampling refused above this m: at the cap a Monte Carlo run peaks at
 #: ~182 MiB (the gap table and one build buffer), one sample_partition
-#: draw at ~460 MiB
+#: draw at ~345 MiB
 SAMPLE_MAX_M = 10**7
 
 #: two-sided 95% normal quantile, used by the Wilson score radius
@@ -157,29 +157,27 @@ def good_probability_exact(m: int, c) -> Fraction:
 
 # --- sampling -----------------------------------------------------------
 
-def _part_sizes(m: int, theta: float, seeds: np.ndarray) -> np.ndarray:
-    """One Ewens(theta) draw per uint64 seed as a ``(lanes, m)`` table: the
-    size of the part rooted at each element, 0 at a non-root.
+def _mark_spacings(m: int, theta: float, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Ewens(theta) draw per uint64 seed, as flat ``(lanes, sizes)``
+    arrays of its parts in mark order.
 
-    The part-opening process is a random recursive forest: element n is a
-    root with probability theta/(theta+n), else the child of a uniformly
-    chosen earlier element (so it joins a part with probability
-    proportional to its size).  Draw n, at stream index n, alone fixes
-    element n's parent; pointer jumping then finds every root.
+    The Feller coupling (Arratia, Barbour & Tavare 2003, section 1.1):
+    element n is marked independently with probability theta/(theta+n),
+    read from stream index n, and element 0 always; the parts are the
+    spacings from each mark to the next, the last one running to m.
     """
     n = np.arange(m)
-    y = rng.uniform01_array(seeds[:, None], n) * (theta + n)
-    # y - theta is in [0, n); the clamp guards the last-ulp case
-    parent = np.where(y < theta, n, np.minimum((y - theta).astype(np.int64), n - 1))
-    root = (parent + m * np.arange(len(seeds))[:, None]).ravel()  # flat ids
-    while not np.array_equal(up := root[root], root):
-        root = up
-    return np.bincount(root, minlength=root.size).reshape(len(seeds), m)
+    mark = rng.uniform01_array(seeds[:, None], n) * (theta + n) < theta
+    mark[:, 0] = True
+    # in the flat (lanes * m) index a lane's last mark runs to the next
+    # lane's element 0, always marked, or to the end: that lane's m
+    at = np.flatnonzero(mark)
+    return at // m, np.diff(at, append=mark.size)
 
 
 def sample_partition(m: int, theta: float, seed: int) -> Partition:
-    """One draw from the Ewens distribution via the sequential
-    part-opening process (see :func:`_part_sizes`).
+    """One draw from the Ewens distribution: the spacings between the
+    marks of :func:`_mark_spacings`.
 
     Bit-identical for a fixed seed across runs and platforms.
     """
@@ -190,8 +188,8 @@ def sample_partition(m: int, theta: float, seed: int) -> Partition:
     if not (math.isfinite(theta) and theta > 0):
         raise ValueError(f"theta must be finite and > 0, got {theta}")
     rng.check_seed(seed)
-    sizes = _part_sizes(m, theta, np.array([seed], dtype=np.uint64))[0]
-    size, r = np.unique(sizes[sizes > 0], return_counts=True)
+    _, sizes = _mark_spacings(m, theta, np.array([seed], dtype=np.uint64))
+    size, r = np.unique(sizes, return_counts=True)
     return Partition.trusted(tuple(zip(size.tolist(), r.tolist())), m)
 
 
@@ -247,9 +245,9 @@ def _sample_parts_chunk(m: int, theta: float, seed: int, chunk_index: int,
                         count: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat ``(lanes, sizes)`` arrays of the parts of one chunk of samples,
     via inverse-CDF gap sampling of the mark positions, one gap per
-    unfinished lane and round.  The law is that of the part-opening
-    process of :func:`_part_sizes`; the tests check it against the exact
-    Ewens law by total variation."""
+    unfinished lane and round: the marks of :func:`_mark_spacings`,
+    skipped from one to the next.  The tests check the law against the
+    exact Ewens law by total variation."""
     G = _gap_prefix(m, theta)
     base = chunk_index << _CHUNK_SHIFT
     active = np.arange(count, dtype=np.int64)

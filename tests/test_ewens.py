@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coset_ewens import ewens, rng
 from coset_ewens.errors import ResourceLimitError
@@ -21,8 +22,8 @@ from coset_ewens.ewens import (
     SAMPLE_MAX_M,
     _chunk_hits,
     _gap_prefix,
+    _mark_spacings,
     _next_index,
-    _part_sizes,
     _sample_parts_chunk,
 )
 from test_series import log_f
@@ -207,8 +208,7 @@ def sequential_counts(m, first_seed, n, block=100_000) -> Counter:
     counts = Counter()
     for start in range(first_seed, first_seed + n, block):
         seeds = np.arange(start, min(start + block, first_seed + n), dtype=np.uint64)
-        table = _part_sizes(m, 0.5, seeds)
-        counts += partition_counts(np.nonzero(table)[0], table[table > 0], m)
+        counts += partition_counts(*_mark_spacings(m, 0.5, seeds), m)
     return counts
 
 
@@ -250,20 +250,64 @@ def sequential_sizes(m, theta, seed) -> list[int]:
     return sizes
 
 
+def forest_part_sizes(m: int, theta: float, seeds: np.ndarray) -> np.ndarray:
+    """Oracle: the array pass ``sample_partition`` ran before the marks.
+    One Ewens(theta) draw per uint64 seed as a ``(lanes, m)`` table: the
+    size of the part rooted at each element, 0 at a non-root.
+
+    The part-opening process is a random recursive forest: element n is a
+    root with probability theta/(theta+n), else the child of a uniformly
+    chosen earlier element (so it joins a part with probability
+    proportional to its size).  Draw n, at stream index n, alone fixes
+    element n's parent; pointer jumping then finds every root.
+    """
+    n = np.arange(m)
+    y = rng.uniform01_array(seeds[:, None], n) * (theta + n)
+    # y - theta is in [0, n); the clamp guards the last-ulp case
+    parent = np.where(y < theta, n, np.minimum((y - theta).astype(np.int64), n - 1))
+    root = (parent + m * np.arange(len(seeds))[:, None]).ravel()  # flat ids
+    while not np.array_equal(up := root[root], root):
+        root = up
+    return np.bincount(root, minlength=root.size).reshape(len(seeds), m)
+
+
+def feller_sizes(m, theta, seed) -> list[int]:
+    """Oracle: the Feller coupling, element by element.  Element n is
+    marked if uniform01(seed, n) * (theta + n) < theta, element 0 always;
+    the parts are the spacings from each mark to the next, then to m."""
+    marks = [n for n in range(m) if n == 0 or uniform01(seed, n) * (theta + n) < theta]
+    return [b - a for a, b in zip(marks, marks[1:] + [m])]
+
+
 # the two edge seeds and every 997th seed of test_total_variation_m6;
 # at m >= 200, where the scalar oracle costs ~2 us a draw, every 10th
 ORACLE_SEEDS = [0, 2**64 - 1, *range(9_000_000, 10_000_000, 997)]
+ORACLE_MS = (1, 2, 3, 6, 37, 200, 1000)
 
 
 @pytest.mark.parametrize("theta", [0.25, 0.5, 1, 3.7])
 def test_array_pass_matches_sequential_oracle(theta):
-    for m in (1, 2, 3, 6, 37, 200, 1000):
+    for m in ORACLE_MS:
         seeds = ORACLE_SEEDS if m < 200 else ORACLE_SEEDS[::10]
         want = [sequential_sizes(m, theta, seed) for seed in seeds]
-        assert _part_sizes(m, theta, np.array(seeds, dtype=np.uint64)).tolist() == want
-        for seed, sizes in zip(seeds[::10], want[::10]):
-            lam = Partition.from_parts(size for size in sizes if size)
-            assert sample_partition(m, theta, seed) == lam
+        assert forest_part_sizes(m, theta, np.array(seeds, dtype=np.uint64)).tolist() == want
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.5, 1, 3.7])
+def test_marks_match_feller_oracle_and_forest_roots(theta):
+    for m in ORACLE_MS:
+        seeds = ORACLE_SEEDS if m < 200 else ORACLE_SEEDS[::10]
+        want = [feller_sizes(m, theta, seed) for seed in seeds]
+        lanes, sizes = _mark_spacings(m, theta, np.array(seeds, dtype=np.uint64))
+        assert lanes.tolist() == [k for k, p in enumerate(want) for _ in p]
+        assert sizes.tolist() == [size for p in want for size in p]
+        # the marks are the forest's roots, seed for seed
+        forest = forest_part_sizes(m, theta, np.array(seeds, dtype=np.uint64))
+        roots = np.count_nonzero(forest, axis=1)
+        for seed, parts, k in zip(seeds, want, roots.tolist()):
+            lam = sample_partition(m, theta, seed)
+            assert lam == Partition.from_parts(parts)
+            assert lam.num_parts == k
 
 
 class TestSamplePartition:
@@ -311,6 +355,31 @@ class TestSamplePartition:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             sample_partition(SAMPLE_MAX_M + 1, 0.5, 1)
+
+    def test_subnormal_theta(self):
+        # u * theta rounds up to theta for u > 1/2 at theta = 5e-324; the
+        # forest then gave element 0 the parent -1 (seed 0 raised, seeds 1
+        # and 2 looped in pointer jumping).  Element 0 is always a mark.
+        assert sample_partition(5, 5e-324, 0) == Partition.parse("5^1")
+        for theta in (5e-324, 1e-320):
+            for seed in range(3):
+                assert sample_partition(5, theta, seed) == Partition.parse("5^1")
+
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_theta_without_warnings(self):
+        for seed in range(3):
+            assert sample_partition(5, 1e300, seed) == Partition.parse("1^5")
+            assert sample_partition(5, 1e-300, seed) == Partition.parse("5^1")
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 60),
+           theta=st.floats(5e-324, 1e300, allow_subnormal=True),
+           seed=st.integers(0, 2**64 - 1))
+    def test_any_theta_gives_a_partition_of_m(self, m, theta, seed):
+        lam = sample_partition(m, theta, seed)
+        assert Partition(lam.counts, lam.m) == lam
+        assert lam.m == m
 
     def test_seed_range(self):
         sample_partition(30, 0.5, 0)
@@ -370,16 +439,25 @@ class TestRngSeedRange:
             sample_partition(3, 0.5, seed)
 
 
+def gap_sampler_tv(m):
+    """TV distance of 250 chunks of 4096 gap-sampler draws (seed 123) from
+    the exact Ewens(1/2) law at m."""
+    counts = Counter()
+    for chunk in range(250):
+        counts += partition_counts(*_sample_parts_chunk(m, 0.5, 123, chunk, 4096), m)
+    n = counts.total()
+    assert n == 250 * 4096
+    return tv_distance(counts, exact_distribution(m), n)
+
+
 class TestGapSampler:
+    # the large-m sampling path must match the exact law too
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_total_variation_small(self, m):
+        assert gap_sampler_tv(m) < 0.005
+
     def test_total_variation_m6(self):
-        # the large-m sampling path must match the exact law too
-        m = 6
-        counts = Counter()
-        for chunk in range(250):
-            counts += partition_counts(*_sample_parts_chunk(m, 0.5, 123, chunk, 4096), m)
-        n = counts.total()
-        assert n == 250 * 4096
-        assert tv_distance(counts, exact_distribution(m), n) < 0.005
+        assert gap_sampler_tv(6) < 0.005
 
     def test_parts_sum_to_m(self):
         lanes, sizes = _sample_parts_chunk(37, 0.5, 5, 0, 2048)
