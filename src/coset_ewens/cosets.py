@@ -16,7 +16,6 @@ graph as an independent oracle for the classifier.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
@@ -26,14 +25,15 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .partitions import Partition
-from .perm import Permutation, compose, disjoint_cycles, from_cycles
+from .perm import Permutation, compose, from_cycles
 
 #: enumerate_H(7) already takes seconds and ~290 MiB (645 120 Permutations);
 #: m = 8 would need ~4.5 GiB, and no caller in the package goes above m = 5
 ENUMERATE_H_MAX_M = 6
 INTERSECTION_MAX_M = 5
 ORBIT_SWEEP_MAX_M = 4
-WREATH_MODEL_MAX_ORDER = 10**6
+#: wreath_model's work, order * (2m)^2; every class of m <= 6 fits
+WREATH_MODEL_MAX_COST = 10**8
 
 
 def _check_degree(g: Permutation, m: int) -> None:
@@ -255,10 +255,38 @@ def intersection_subgroup(g: Permutation, m: int) -> list[Permutation]:
     return [Permutation(tuple(row)) for row in kept.tolist()]
 
 
+def _cycle_lengths(P: np.ndarray) -> np.ndarray:
+    """Per row of P (a dtype holding the degree n), the length of the cycle
+    through each symbol: pointer jumping labels each symbol with the least
+    of its cycle (after round j a label covers 2^(j+1) symbols, so
+    ceil(log2 n) - 1 rounds), and one comparison per column counts them."""
+    n = P.shape[1]
+    label, ptr = np.minimum(P, np.arange(n, dtype=P.dtype)), P
+    for _ in range((n - 1).bit_length() - 1):
+        ptr = np.take_along_axis(ptr, ptr, 1)
+        np.minimum(label, np.take_along_axis(label, ptr, 1), out=label)
+    lengths = np.zeros_like(P)
+    for j in range(n):
+        lengths += label == label[:, j:j + 1]
+    return lengths
+
+
+def _orders(P: np.ndarray) -> dict[int, int]:
+    """:func:`order_histogram` of the rows of P; an order divides
+    lcm(1..n), which outgrows int64 at n = 43."""
+    n = P.shape[1]
+    exact = np.int64 if math.lcm(*range(1, n + 1)) < 2**63 else object
+    orders = np.lcm.reduce(_cycle_lengths(P), axis=1, dtype=exact, initial=1)
+    values, counts = np.unique(orders, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
 def order_histogram(elements: Iterable[Permutation]) -> dict[int, int]:
     """Multiset of element orders (the lcm of the cycle lengths), a cheap
-    isomorphism-invariant fingerprint."""
-    return dict(Counter(math.lcm(*map(len, disjoint_cycles(p))) for p in elements))
+    isomorphism-invariant fingerprint; the elements share one degree."""
+    rows = [p.images for p in elements]
+    n = len(rows[0]) if rows else 0
+    return _orders(np.array(rows, np.min_scalar_type(n)).reshape(len(rows), n))
 
 
 def wreath_model(lam: Partition) -> tuple[int, dict[int, int]]:
@@ -266,61 +294,32 @@ def wreath_model(lam: Partition) -> tuple[int, dict[int, int]]:
 
     For each part k the class contributes the automorphisms of a 2k-gon
     that preserve its alternating 2-coloring, acting on the polygon's 2k
-    edges (a dihedral group with 2k elements); equal parts may also be
-    permuted wholesale.  The group is built from those generators by
-    closure and fingerprinted as (order, element-order histogram).
+    edges (a dihedral group with 2k elements: l -> l + 2t and
+    l -> 2t - l - 1 mod 2k); equal parts may also be permuted wholesale.
+    Each element is one row: every tuple of dihedral maps under every
+    block permutation, then a Cartesian product across part sizes.  The
+    group is fingerprinted as (distinct rows, element-order histogram).
     """
-    predicted = predicted_intersection_order(lam)
-    if predicted > WREATH_MODEL_MAX_ORDER:
+    n = 2 * lam.m
+    if predicted_intersection_order(lam) * n * n > WREATH_MODEL_MAX_COST:
         raise ResourceLimitError(
-            f"wreath_model limited to predicted order <= {WREATH_MODEL_MAX_ORDER}"
+            f"wreath_model limited to order * (2m)^2 <= {WREATH_MODEL_MAX_COST}"
         )
-    total = 2 * lam.m
-    gens: list[tuple[int, ...]] = []
-    offset = 0
+    dtype = np.min_scalar_type(n)
+    rows, offset = np.zeros((1, 0), dtype), 0
     for part, r in lam.counts:
         size = 2 * part
-        offsets = [offset + t * size for t in range(r)]
-        ident = list(range(total))
-        # rotation of the first polygon by one block step (two edges)
-        rot = ident[:]
-        for l in range(size):
-            rot[offsets[0] + l] = offsets[0] + (l + 2) % size
-        gens.append(tuple(rot))
-        # color-preserving reflection of the first polygon
-        refl = ident[:]
-        for l in range(size):
-            refl[offsets[0] + l] = offsets[0] + (-l - 1) % size
-        gens.append(tuple(refl))
-        if r >= 2:
-            swap = ident[:]
-            for l in range(size):
-                swap[offsets[0] + l] = offsets[1] + l
-                swap[offsets[1] + l] = offsets[0] + l
-            gens.append(tuple(swap))
-        if r >= 3:
-            cyc = ident[:]
-            for t in range(r):
-                dst = offsets[(t + 1) % r]
-                for l in range(size):
-                    cyc[offsets[t] + l] = dst + l
-            gens.append(tuple(cyc))
+        l, t = np.arange(size), 2 * np.arange(part)[:, None]
+        dihedral = np.concatenate([(l + t) % size, (t - l - 1) % size]).astype(dtype)
+        maps = dihedral[np.indices((size,) * r).reshape(r, -1).T]  # (size^r, r, size)
+        blocks = offset + size * _lex_permutations(r).astype(dtype)[:, None, :, None]
+        group = (blocks + maps).reshape(-1, r * size)
+        rows = np.hstack([np.repeat(rows, len(group), 0), np.tile(group, (len(rows), 1))])
         offset += r * size
-
-    ident_t = tuple(range(total))
-    seen = {ident_t}
-    frontier = deque([ident_t])
-    while frontier:
-        cur = frontier.popleft()
-        for gen in gens:
-            nxt = tuple(gen[v] for v in cur)
-            if nxt not in seen:
-                if len(seen) >= predicted:
-                    raise AssertionError("wreath model exceeded the predicted order")
-                seen.add(nxt)
-                frontier.append(nxt)
-    histogram = order_histogram(Permutation(t) for t in seen)
-    return len(seen), histogram
+    if n:  # lexsort needs a key; the one empty row of m = 0 is distinct
+        rows = rows[np.lexsort(rows.T)]
+        rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    return len(rows), _orders(rows)
 
 
 @dataclass(frozen=True)
@@ -336,20 +335,14 @@ def _coset_type_lengths(P: np.ndarray) -> np.ndarray:
     """Per row g of P, the cycle length of each symbol under
     q = h0 * g h0 g^{-1}, sorted within the row.  q has cycle type
     lam u lam for g of coset type lam (Macdonald VII.2), so a part k is 2k
-    symbols on k-cycles; independent of :func:`_walk`.  Column by column,
-    so that no (rows, 2m) index temporary is made."""
+    symbols on k-cycles; independent of :func:`_walk`.  q is built column
+    by column, so that no (rows, 2m) index temporary is made."""
     rows, n = P.shape
     base = np.arange(0, rows * n, n, dtype=np.int32)  # flat offset of each row
     q = np.empty_like(P)
     for j in range(n):  # q(g(j)) = h0(g(h0(j))), h0 being s -> s ^ 1
         q.reshape(-1)[base + P[:, j]] = P[:, j ^ 1] ^ 1
-    lengths, cur = np.zeros_like(P), q.copy()  # cur = q^t
-    for t in range(1, n + 1):
-        lengths[(cur == np.arange(n)) & (lengths == 0)] = t
-        if lengths.all():
-            break
-        for i in range(n):
-            cur[:, i] = q.reshape(-1)[base + cur[:, i]]
+    lengths = _cycle_lengths(q)
     lengths.sort(axis=1)
     return lengths
 

@@ -120,7 +120,6 @@ class TestDoubleCosets:
         # the canonical text comes from the partition; the payload must not change
         expected = run_json(capsys, ["double-cosets", "12"])[1]["payload"]
         monkeypatch.setattr(perm, "disjoint_cycles", fail)
-        monkeypatch.setattr(cosets, "disjoint_cycles", fail)
         monkeypatch.setattr(cosets, "canonical_rep", fail)
         monkeypatch.setattr(cli, "canonical_rep", fail)
         code, env = run_json(capsys, ["double-cosets", "12"])

@@ -14,6 +14,7 @@ from coset_ewens.perm import (
     compose,
     conjugate,
     cycle_string,
+    disjoint_cycles,
     from_cycles,
     identity,
     inverse,
@@ -23,6 +24,7 @@ from coset_ewens.cosets import (
     OrbitClass,
     _H_array,
     _coset_type_lengths,
+    _cycle_lengths,
     _lex_permutations,
     _walk,
     base_involution,
@@ -80,6 +82,73 @@ def enumerate_H_oracle(m):
                 images[2 * k] = 2 * b + signs[k]
                 images[2 * k + 1] = 2 * b + (signs[k] ^ 1)
             out.append(Permutation(tuple(images)))
+    return out
+
+
+def order_histogram_oracle(elements):
+    """Oracle for order_histogram: the lcm of the lengths of the disjoint
+    cycles of each element, counted."""
+    return dict(Counter(math.lcm(*map(len, disjoint_cycles(p))) for p in elements))
+
+
+def wreath_closure_oracle(lam):
+    """Oracle for wreath_model: the group generated, for each part k, by
+    a rotation by two edges and a color-preserving reflection of the first
+    2k-gon, plus a swap and a cycle of the equal polygons, closed by a
+    breadth-first search over image tuples; (order, order histogram)."""
+    total = 2 * lam.m
+    gens = []
+    offset = 0
+    for part, r in lam.counts:
+        size = 2 * part
+        offsets = [offset + t * size for t in range(r)]
+        ident = list(range(total))
+        rot = ident[:]
+        for l in range(size):
+            rot[offsets[0] + l] = offsets[0] + (l + 2) % size
+        gens.append(tuple(rot))
+        refl = ident[:]
+        for l in range(size):
+            refl[offsets[0] + l] = offsets[0] + (-l - 1) % size
+        gens.append(tuple(refl))
+        if r >= 2:
+            swap = ident[:]
+            for l in range(size):
+                swap[offsets[0] + l] = offsets[1] + l
+                swap[offsets[1] + l] = offsets[0] + l
+            gens.append(tuple(swap))
+        if r >= 3:
+            cyc = ident[:]
+            for t in range(r):
+                dst = offsets[(t + 1) % r]
+                for l in range(size):
+                    cyc[offsets[t] + l] = dst + l
+            gens.append(tuple(cyc))
+        offset += r * size
+    ident_t = tuple(range(total))
+    seen = {ident_t}
+    frontier = deque([ident_t])
+    while frontier:
+        cur = frontier.popleft()
+        for gen in gens:
+            nxt = tuple(gen[v] for v in cur)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen), order_histogram_oracle(Permutation(t) for t in seen)
+
+
+def cycle_lengths_oracle(images):
+    """Oracle for _cycle_lengths on one row: walk each cycle once."""
+    out = [0] * len(images)
+    for s in range(len(images)):
+        if not out[s]:
+            cycle, t = [s], images[s]
+            while t != s:
+                cycle.append(t)
+                t = images[t]
+            for t in cycle:
+                out[t] = len(cycle)
     return out
 
 
@@ -502,17 +571,82 @@ class TestWreathModel:
     def test_two_squares(self):
         assert wreath_model(Partition.parse("2^2"))[0] == 32
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_fingerprints_match_brute_force(self, m):
         for lam in enumerate_partitions(m):
             sub = intersection_subgroup(canonical_rep(lam, m), m)
             order, hist = wreath_model(lam)
             assert order == len(sub)
-            assert hist == order_histogram(sub)
+            assert hist == order_histogram(sub) == order_histogram_oracle(sub)
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_equals_closure_oracle(self, m):
+        for lam in enumerate_partitions(m):
+            assert wreath_model(lam) == wreath_closure_oracle(lam)
+
+    @pytest.mark.parametrize("text", ["3^2", "4^2", "2^3", "1^2 5^1", "1^3 2^2",
+                                      # 2m above int8 and above uint8
+                                      "70^1", "150^1"])
+    def test_equals_closure_oracle_beyond(self, text):
+        lam = Partition.parse(text)
+        assert wreath_model(lam) == wreath_closure_oracle(lam)
+
+    def test_weight_zero(self):
+        assert wreath_model(Partition.parse("")) == (1, {1: 1})
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             wreath_model(Partition.parse("1^12"))
+
+    @pytest.fixture
+    def refuse_to_build(self, monkeypatch):
+        def refuse(r):
+            raise RuntimeError("built")
+
+        monkeypatch.setattr(cosets, "_lex_permutations", refuse)
+
+    def test_cap_bounds_the_work(self, refuse_to_build):
+        # order * (2m)^2: 2k * (2k)^2 is 99 897 344 at k = 232, 101 194 696
+        # at k = 233; the cap must fall before anything is built
+        with pytest.raises(ResourceLimitError):
+            wreath_model(Partition.parse("233^1"))
+
+    def test_cap_admits_below(self, refuse_to_build):
+        for text in ("232^1", "1^6"):
+            with pytest.raises(RuntimeError, match="built"):
+                wreath_model(Partition.parse(text))
+
+
+class TestOrderHistogram:
+    @pytest.mark.parametrize("n", [1, 2, 8, 130, 300])
+    def test_cycle_lengths_equal_walk(self, n):
+        rng = np.random.default_rng(n)
+        rows = [list(range(n)), list(range(1, n)) + [0]]  # identity, one n-cycle
+        rows += [rng.permutation(n).tolist() for _ in range(200)]
+        for dtype in [np.min_scalar_type(n)] + [np.dtype(np.int8)] * (n < 128):
+            got = _cycle_lengths(np.array(rows, dtype))
+            assert got.dtype == dtype
+            assert got.tolist() == [cycle_lengths_oracle(row) for row in rows]
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 42, 43, 300])
+    def test_equals_oracle(self, n):
+        rng = random.Random(n)
+        elements = [identity(n)] + [rand_perm(rng, n) for _ in range(300)]
+        assert order_histogram(elements) == order_histogram_oracle(elements)
+
+    def test_order_beyond_int64(self):
+        # one cycle of each prime length up to 53: order 2*3*...*53 > 2^63
+        primes = [p for p in range(2, 54) if all(p % d for d in range(2, p))]
+        images, s = [], 0
+        for p in primes:
+            images += list(range(s + 1, s + p)) + [s]
+            s += p
+        g = Permutation(tuple(images))
+        assert order_histogram([g]) == {math.prod(primes): 1} == order_histogram_oracle([g])
+        assert math.prod(primes) > 2**63
+
+    def test_empty(self):
+        assert order_histogram([]) == {}
 
 
 class TestOrbitSweep:
@@ -623,12 +757,12 @@ class TestEvenSupportReduction:
             assert Partition.from_parts(lengths) == union_find_partition(g, m)
 
     def test_no_cycle_decomposition(self, monkeypatch):
-        import coset_ewens.cosets as cosets
+        import coset_ewens.perm as perm
 
         def refuse(p):
             raise AssertionError("disjoint_cycles called")
 
-        monkeypatch.setattr(cosets, "disjoint_cycles", refuse)
+        monkeypatch.setattr(perm, "disjoint_cycles", refuse)
         g = rand_perm(random.Random(5), 400)
         self.assert_valid(g, 200, reduce_to_even_support(g, 200))
 

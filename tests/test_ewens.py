@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coset_ewens import ewens, rng
+from coset_ewens import cosets, ewens, rng
 from coset_ewens.errors import ResourceLimitError
 from coset_ewens.partitions import Partition, enumerate_partitions, iter_partitions
 from coset_ewens.ewens import (
@@ -693,11 +693,28 @@ def test_part_count_law_of_gap_sampler(m):
         for chunk in range(5):
             lanes, _ = _sample_parts_chunk(m, 0.5, seed, chunk, 4096)
             hist += np.bincount(np.bincount(lanes, minlength=4096), minlength=kmax + 1)
+    assert hist.sum() == 5 * 5 * 4096
+    assert_total_variation_within_noise(hist, p)
+
+
+def assert_total_variation_within_noise(hist, p):
+    """The sample histogram of K, hist[k] for k = 0..kmax, against the law p."""
     n = int(hist.sum())
-    assert n == 5 * 5 * 4096 and hist.size == kmax + 1  # no K above kmax
+    assert hist.size == p.size  # no K above kmax
     tv = (np.abs(hist / n - p).sum() + max(0.0, 1.0 - p.sum())) / 2
     # fixed from the sampling noise: E TV <= sum_k sqrt(p_k (1 - p_k) / n) / 2,
     # and TV moves by at most 1/n per sample, so P(TV > E TV + t) <=
     # exp(-2 n t^2) (McDiarmid); t for a 1e-9 chance
     bound = np.sqrt(p * (1 - p) / n).sum() / 2 + math.sqrt(math.log(1e9) / (2 * n))
     assert tv < bound, (tv, bound)
+
+
+def test_part_count_law_of_uniform_double_cosets():
+    # the theorem itself at m = 1000: the class of a uniform g in S_2000 is
+    # Ewens(1/2), so its number of parts K has the law above.  g comes from
+    # numpy's generator, not from the package's rng; K from the block walk
+    m, kmax = 1000, 40
+    p = np.array([float(x) for x in part_count_law(m, kmax)])
+    gen = np.random.default_rng(2000)
+    ks = [len(cosets._walk(gen.permutation(2 * m).tolist(), m)[1]) for _ in range(4000)]
+    assert_total_variation_within_noise(np.bincount(ks, minlength=kmax + 1), p)
