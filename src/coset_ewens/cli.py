@@ -26,9 +26,9 @@ from .cosets import (
     canonical_rep,
     coset_class,
     double_coset_size,
+    _intersection_rows,
+    _orders,
     enumerate_double_cosets,
-    intersection_subgroup,
-    order_histogram,
     partition_of,
     predicted_intersection_order,
     wreath_model,
@@ -101,17 +101,16 @@ def cmd_verify(args) -> dict:
     all_ok = True
     for lam in lams:
         rep = canonical_rep(lam, m)
-        subgroup = intersection_subgroup(rep, m)
+        rows = _intersection_rows(rep, m)
         predicted = predicted_intersection_order(lam)
-        order_ok = len(subgroup) == predicted
+        order_ok = len(rows) == predicted
         model_order, model_hist = wreath_model(lam)
-        hist = order_histogram(subgroup)
-        fingerprint_ok = model_order == len(subgroup) and model_hist == hist
+        fingerprint_ok = model_order == len(rows) and model_hist == _orders(rows)
         all_ok = all_ok and order_ok and fingerprint_ok
         classes.append({
             "lambda": str(lam),
             "predicted_order": str(predicted),
-            "brute_force_order": str(len(subgroup)),
+            "brute_force_order": str(len(rows)),
             "order_ok": order_ok,
             "fingerprint_ok": fingerprint_ok,
         })

@@ -241,16 +241,23 @@ def double_coset_size(lam: Partition, m: int) -> int:
     return size
 
 
-def intersection_subgroup(g: Permutation, m: int) -> list[Permutation]:
-    """Brute-force element list of H intersect gHg^{-1} (m <= 5), sorted by
-    images.  gHg^{-1} stabilises the image blocks {g(2k-1), g(2k)}, so h
-    in H is kept iff it maps each image block onto an image block."""
+def _intersection_rows(g: Permutation, m: int) -> np.ndarray:
+    """H intersect gHg^{-1} (m <= 5) as int8 rows of 0-indexed images, in
+    the order of :func:`_H_array`.  gHg^{-1} stabilises the image blocks
+    {g(2k-1), g(2k)}, so h in H is kept iff it maps each image block onto
+    an image block."""
     _check_degree(g, m)
     _check_m(m, INTERSECTION_MAX_M, "intersection_subgroup")
     img, block = np.array(g.images), np.argsort(g.images) // 2  # block[g(s)] = s // 2
     H = _H_array(m)
     # h sends the image pair (a, b) into one image block iff their blocks agree
-    kept = H[(block[H[:, img[0::2]]] == block[H[:, img[1::2]]]).all(axis=1)]
+    return H[(block[H[:, img[0::2]]] == block[H[:, img[1::2]]]).all(axis=1)]
+
+
+def intersection_subgroup(g: Permutation, m: int) -> list[Permutation]:
+    """Brute-force element list of H intersect gHg^{-1} (m <= 5), sorted by
+    images (:func:`_intersection_rows`)."""
+    kept = _intersection_rows(g, m)
     kept = kept[np.lexsort(kept.T[::-1])]
     return [Permutation(tuple(row)) for row in kept.tolist()]
 

@@ -17,7 +17,10 @@ from .cosets import predicted_intersection_order
 from .errors import ResourceLimitError
 from .partitions import Partition
 
-EXACT_TAIL_MAX_M = 60
+#: work budget of good_probability_exact: m^2 bound-table cells plus the
+#: DP's steps.  The most at m <= 60 is 4.15 M (c just below the top class,
+#: about 1.8 s); (2000, 2) is 4 M cells and 4.4 k steps
+EXACT_TAIL_WORK = 5_000_000
 #: sampling refused above this m: at the cap a Monte Carlo run peaks at
 #: ~182 MiB (the gap table and one build buffer), one sample_partition
 #: draw at ~345 MiB
@@ -103,6 +106,31 @@ def f_leq_threshold(f: int, m: int, c) -> bool:
         return dlf <= dlt
 
 
+def _least_f(m: int, t: int) -> np.ndarray:
+    """lo[k, r]: the least f over partitions of r into parts <= k, capped
+    at t + 1 (lo[k, 0] = 1), by the same knapsack as the tail: row k takes
+    row k - 1 and lets each r gain j parts of size k, a factor (2k)^j j!.
+
+    int64 while every product below stays under 2t + 2 < 2^63, else
+    Python ints (an object array); an entry is clamped to t // factor + 1
+    before it is multiplied, so a product above t never exceeds 2t.
+    """
+    cap = t + 1
+    lo = np.full((m + 1, m + 1), cap, dtype=np.int64 if t < 2**62 else object)
+    lo[:, 0] = 1
+    for k in range(1, m + 1):
+        row, prev = lo[k], lo[k - 1]
+        row[:] = prev
+        fac, j = 2 * k, 1
+        while fac <= t and j * k <= m:
+            src = np.minimum(prev[:m + 1 - j * k], t // fac + 1)
+            np.minimum(row[j * k:], src * fac, out=row[j * k:])
+            j += 1
+            fac *= 2 * k * j
+        np.minimum(row, cap, out=row)
+    return lo
+
+
 def good_probability_exact(m: int, c) -> Fraction:
     """P(f <= m^c) under the double-coset measure, as an exact rational.
 
@@ -110,21 +138,32 @@ def good_probability_exact(m: int, c) -> Fraction:
     K_m * sum N_m(f)/f over f <= T, where T is the largest integer with
     T <= m^c and N_m(f) counts the partitions of m with that f.  f is a
     product over part sizes i of (2i)^r r! (r the multiplicity), every
-    factor at least 2, so a knapsack over (weight, f) that drops every
-    state with f > T counts N_m(f) without visiting the partitions of m.
+    factor at least 2, so a knapsack over (weight, f) counts N_m(f)
+    without visiting the partitions of m.  It is a branch-and-bound
+    (Martello & Toth, *Knapsack Problems*, 1990, ch. 2): part sizes are
+    taken in descending order, and a state (w, f) is kept only while
+    f * lo[i-1, m-w] <= T, lo the least f that parts below i can add
+    (:func:`_least_f`).
+
+    Raises ResourceLimitError once the work, m^2 bound-table cells plus
+    one step per state read and per multiplicity added to it, passes
+    ``EXACT_TAIL_WORK``; the cells are counted before anything is built.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > EXACT_TAIL_MAX_M:
+    work = m * m
+    if work > EXACT_TAIL_WORK:
         raise ResourceLimitError(
-            f"good_probability_exact limited to m <= {EXACT_TAIL_MAX_M}"
+            f"good_probability_exact: m^2 = {work} bound-table cells exceed "
+            f"the work budget {EXACT_TAIL_WORK}"
         )
     top = 2**m * math.factorial(m)  # f of the class 1^m, the largest
     if f_leq_threshold(top, m, c):
         return Fraction(1)
-    # t = T by bisection (f_leq_threshold is monotone in f): about
-    # log2(2^m m!) comparisons, each decided exactly
-    t, hi = 0, top  # t passes (0 by convention), hi fails
+    # t = T by bisection (f_leq_threshold is monotone in f), each
+    # comparison decided exactly: t passes (0 by convention), hi fails,
+    # as m^ceil(c) + 1 > m^c does
+    t, hi = 0, min(top, m ** max(math.ceil(c), 0) + 1)
     while hi - t > 1:
         mid = (t + hi) // 2
         if f_leq_threshold(mid, m, c):
@@ -133,22 +172,41 @@ def good_probability_exact(m: int, c) -> Fraction:
             hi = mid
     if t < 2 * m:  # 2m = f of the class {m}, the smallest
         return Fraction(0)
+    lo = _least_f(m, t)
     # counts[w][f]: partitions of w into the part sizes done so far, by f
     counts: list[dict[int, int]] = [{} for _ in range(m + 1)]
     counts[0][1] = 1
-    for i in range(1, m + 1):
+    bound = lo[m].tolist()  # bound[r]: the least f of r in parts <= m
+    for i in range(m, 0, -1):
+        # a state (w, f) is dead once f * lo[i, m-w] > t: parts up to i
+        # cannot finish it.  It is dropped when next read as a source
+        # (w <= m - i); until then it only waits, and lo only grows as i
+        # falls, so the counts are those of dropping it after part i + 1
+        keep, bound = bound, lo[i - 1].tolist()
         # descending w: each target w + i*r has already been a source for
         # this i, so no state takes part size i twice
         for w in range(m - i, -1, -1):
-            for f, n in counts[w].items():
+            if not counts[w]:
+                continue
+            cut = keep[m - w]
+            counts[w] = by_f = {f: n for f, n in counts[w].items() if f * cut <= t}
+            for f, n in by_f.items():
                 g, v, r = f, w + i, 1
                 while v <= m:
                     g *= 2 * i * r  # (2i)^r r! over (2i)^(r-1) (r-1)!
                     if g > t:
                         break
-                    counts[v][g] = counts[v].get(g, 0) + n
+                    # not a break: g * bound[m - v] is not monotone in r
+                    if g * bound[m - v] <= t:
+                        counts[v][g] = counts[v].get(g, 0) + n
                     v += i
                     r += 1
+                work += r
+            if work > EXACT_TAIL_WORK:
+                raise ResourceLimitError(
+                    f"good_probability_exact({m}, {c}) exceeds the work "
+                    f"budget {EXACT_TAIL_WORK}"
+                )
     # every f divides 2^m m! (the quotient is 2^(m - parts) times the size
     # of a conjugacy class of S_m), so sum n/f is an integer over top
     k_m = Fraction(4**m * math.factorial(m) ** 2, math.factorial(2 * m))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from coset_ewens import cosets, ewens, rng
 from coset_ewens.errors import ResourceLimitError
 from coset_ewens.partitions import Partition, enumerate_partitions, iter_partitions
+from coset_ewens.series import left_tail_bound, right_tail_bound
 from coset_ewens.ewens import (
     SampleReport,
     coset_probability,
@@ -151,8 +152,71 @@ class TestGoodProbabilityExact:
         assert good_probability_exact(40, 3) < good_probability_exact(20, 3)
 
     def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            good_probability_exact(61, 2)
+        # m^2 bound-table cells alone exceed the budget: refused before
+        # 2^m m! is computed
+        with pytest.raises(ResourceLimitError, match="bound-table cells"):
+            good_probability_exact(10**6, 2)
+
+    def test_budget_admits_m_above_60(self):
+        assert good_probability_exact(61, 2) == ascending_tail_oracle(61, 2)
+
+    def test_budget_refuses_mid_run(self, monkeypatch):
+        # (60, 30) takes about 4 M steps; 1 M admits the table and (60, 2)
+        monkeypatch.setattr(ewens, "EXACT_TAIL_WORK", 10**6)
+        assert good_probability_exact(60, 2) == ascending_tail_oracle(60, 2)
+        with pytest.raises(ResourceLimitError, match="exceeds the work budget"):
+            good_probability_exact(60, 30)
+
+
+def ascending_tail_oracle(m, c) -> Fraction:
+    """Oracle: the exact tail by the plain counting DP, part sizes in
+    ascending order, dropping a state only once its f passes T (no bound
+    on what the smaller parts still add)."""
+    top = 2**m * math.factorial(m)
+    if f_leq_threshold(top, m, c):
+        return Fraction(1)
+    t, hi = 0, top  # bisection over the whole range, t passes, hi fails
+    while hi - t > 1:
+        mid = (t + hi) // 2
+        if f_leq_threshold(mid, m, c):
+            t = mid
+        else:
+            hi = mid
+    counts: list[dict[int, int]] = [{} for _ in range(m + 1)]
+    counts[0][1] = 1
+    for i in range(1, m + 1):
+        for w in range(m - i, -1, -1):
+            for f, n in counts[w].items():
+                g, v, r = f, w + i, 1
+                while v <= m:
+                    g *= 2 * i * r
+                    if g > t:
+                        break
+                    counts[v][g] = counts[v].get(g, 0) + n
+                    v += i
+                    r += 1
+    k_m = Fraction(4**m * math.factorial(m) ** 2, math.factorial(2 * m))
+    return k_m * Fraction(sum(n * (top // f) for f, n in counts[m].items()), top)
+
+
+# enumeration stops short of these; (20, 15) and (40, 12) put T above
+# 2^62, where the bound table holds Python ints
+@pytest.mark.parametrize("m, c", [(45, 2), (60, 3), (100, 2), (100, 3), (200, 2),
+                                  (200, 2.5), (20, 15), (40, 12)])
+def test_exact_tail_matches_ascending_dp(m, c):
+    assert good_probability_exact(m, c) == ascending_tail_oracle(m, c)
+
+
+@pytest.mark.parametrize("t", [2 * 12 - 1, 2000, 2**62 - 1, 2**62])
+def test_least_f_table(t):
+    m = 12
+    lo = ewens._least_f(m, t)
+    assert lo.dtype == (np.int64 if t < 2**62 else object)
+    for k in range(m + 1):
+        for r in range(m + 1):
+            fs = [f_of(lam) for lam in iter_partitions(r) if lam.counts[-1][0] <= k] \
+                if r else [1]
+            assert lo[k, r] == min([*fs, t + 1]), (k, r)
 
 
 def enumerated_mass_by_f(m):
@@ -635,6 +699,29 @@ def test_mc_agrees_with_exact_on_grid():
         exact = float(good_probability_exact(m, c))
         report = good_probability_mc(m, c, 40000, 1234)
         assert abs(report.frequency - exact) < 4 * report.wilson_radius_95 + 1e-3
+
+
+# --- exact truth at Monte Carlo scale
+
+@pytest.fixture(scope="module")
+def exact_1000():
+    return good_probability_exact(1000, 2)
+
+
+def test_exact_tail_at_m1000(exact_1000):
+    assert float(exact_1000) == 0.2168397361743974
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_mc_agrees_with_exact_at_m1000(exact_1000, seed):
+    report = good_probability_mc(1000, 2, 100_000, seed)
+    assert abs(report.frequency - exact_1000) <= 4 * report.wilson_radius_95
+
+
+def test_moment_bounds_dominate_exact_at_m1000(exact_1000):
+    assert left_tail_bound(1000, 2).bound >= exact_1000
+    for beta in (0.3, 0.5, 0.7, 0.9):
+        assert right_tail_bound(1000, 2, beta).bound >= 1 - exact_1000
 
 
 # --- the law of the part count K, an observable the gap sampler draws
