@@ -6,7 +6,6 @@ from .errors import ResourceLimitError
 from .partitions import (
     Partition,
     enumerate_partitions,
-    hardy_ramanujan,
     iter_counts,
     iter_partitions,
     partition_count,
@@ -28,26 +27,21 @@ from .cosets import (
     CosetClass,
     EvenSupportReduction,
     OrbitClass,
-    TCParts,
-    base_involution,
     canonical_rep,
     coset_class,
     double_coset_size,
-    enumerate_H,
     enumerate_double_cosets,
     intersection_subgroup,
     is_in_H,
     partition_of,
     predicted_intersection_order,
     reduce_to_even_support,
-    tc_decompose,
     wreath_model,
 )
 from .ewens import (
     SampleReport,
     coset_probability,
     esf_density,
-    f_of,
     good_probability_exact,
     good_probability_mc,
     sample_partition,

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -27,9 +26,6 @@ from .errors import ResourceLimitError
 from .partitions import Partition
 from .perm import Permutation, compose, from_cycles
 
-#: enumerate_H(7) already takes seconds and ~290 MiB (645 120 Permutations);
-#: m = 8 would need ~4.5 GiB, and no caller in the package goes above m = 5
-ENUMERATE_H_MAX_M = 6
 INTERSECTION_MAX_M = 5
 ORBIT_SWEEP_MAX_M = 4
 #: wreath_model's work, order * (2m)^2; every class of m <= 6 fits
@@ -43,14 +39,7 @@ def _check_degree(g: Permutation, m: int) -> None:
         raise ValueError(f"degree mismatch: permutation has degree {g.n}, expected {2 * m}")
 
 
-@lru_cache(maxsize=8)
-def base_involution(m: int) -> Permutation:
-    """h0 = (1 2)(3 4)...(2m-1 2m), built once per m and shared (it is frozen)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return from_cycles(2 * m, [(2 * k - 1, 2 * k) for k in range(1, m + 1)])
-
-
+# bench/tracer.py wraps this name by getattr: keep it until the tracer changes (ROADMAP 1(b))
 def is_in_H(g: Permutation, m: int) -> bool:
     """Membership in H, tested as g mapping every block {2k-1, 2k} onto
     some block.  The test suite checks it against the centralizer form,
@@ -82,8 +71,8 @@ def _lex_permutations(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=2)
 def _H_array(m: int) -> np.ndarray:
-    """H as a read-only (2^m m!, 2m) int8 array of 0-indexed images, in the
-    order of :func:`enumerate_H`: block permutations in lexicographic
+    """H as a read-only (2^m m!, 2m) int8 array of 0-indexed images, the
+    only form of H in the package: block permutations in lexicographic
     order, and under each the sign vectors counted in binary; sign s_k
     sends block k onto block sigma(k) with its two symbols swapped."""
     blocks = 2 * _lex_permutations(m)[:, None, :, None]  # (m!, 1, m, 1)
@@ -91,13 +80,6 @@ def _H_array(m: int) -> np.ndarray:
     H = (blocks + (signs[:, :, None] ^ np.array([0, 1], np.int8))).reshape(-1, 2 * m)
     H.flags.writeable = False
     return H
-
-
-def enumerate_H(m: int) -> list[Permutation]:
-    """All 2^m * m! elements of H, generated as (sign vector, block
-    permutation) pairs, in a fixed deterministic order."""
-    _check_m(m, ENUMERATE_H_MAX_M, "enumerate_H")
-    return [Permutation(tuple(row)) for row in _H_array(m).tolist()]
 
 
 def h_generators(m: int) -> list[Permutation]:
@@ -110,43 +92,6 @@ def h_generators(m: int) -> list[Permutation]:
     for k in range(1, m):
         gens.append(from_cycles(n, [(2 * k - 1, 2 * k + 1), (2 * k, 2 * k + 2)]))
     return gens
-
-
-@dataclass(frozen=True)
-class TCParts:
-    """Unique factorization h = t_odd * t_even * c of an element of H.
-
-    ``t_odd`` is supported on the odd symbols, ``t_even`` on the even
-    symbols (the two commute and act as mirror images of one block
-    permutation), and ``c`` is a product of in-block swaps (2k-1 2k).
-    """
-
-    t_odd: Permutation
-    t_even: Permutation
-    c: Permutation
-
-    def reconstruct(self) -> Permutation:
-        return compose(compose(self.t_odd, self.t_even), self.c)
-
-
-def tc_decompose(h: Permutation, m: int) -> TCParts:
-    """Split h in H into its block-permutation part and in-block swaps."""
-    if not is_in_H(h, m):
-        raise ValueError("element is not in H")
-    n = 2 * m
-    # c swaps block k iff h sends the even symbol 2k to an odd symbol
-    swapped = [h.images[2 * k + 1] % 2 == 0 for k in range(m)]
-    c = from_cycles(n, [(2 * k + 1, 2 * k + 2) for k in range(m) if swapped[k]])
-    tbar = compose(h, c)  # parity-preserving block permutation
-    odd_images = list(range(n))
-    even_images = list(range(n))
-    for k in range(m):
-        odd_images[2 * k] = tbar.images[2 * k]
-        even_images[2 * k + 1] = tbar.images[2 * k + 1]
-    parts = TCParts(Permutation(tuple(odd_images)), Permutation(tuple(even_images)), c)
-    if parts.reconstruct().images != h.images:
-        raise AssertionError("TC decomposition failed to reconstruct")
-    return parts
 
 
 def _walk(img: tuple[int, ...], m: int) -> tuple[list[int], list[int]]:
@@ -254,6 +199,7 @@ def _intersection_rows(g: Permutation, m: int) -> np.ndarray:
     return H[(block[H[:, img[0::2]]] == block[H[:, img[1::2]]]).all(axis=1)]
 
 
+# bench/tracer.py wraps this name by getattr: keep it until the tracer changes (ROADMAP 1(b))
 def intersection_subgroup(g: Permutation, m: int) -> list[Permutation]:
     """Brute-force element list of H intersect gHg^{-1} (m <= 5), sorted by
     images (:func:`_intersection_rows`)."""
@@ -279,21 +225,13 @@ def _cycle_lengths(P: np.ndarray) -> np.ndarray:
 
 
 def _orders(P: np.ndarray) -> dict[int, int]:
-    """:func:`order_histogram` of the rows of P; an order divides
-    lcm(1..n), which outgrows int64 at n = 43."""
+    """Histogram of the orders (lcm of the cycle lengths) of the rows of P; an
+    order divides lcm(1..n), which outgrows int64 at n = 43."""
     n = P.shape[1]
     exact = np.int64 if math.lcm(*range(1, n + 1)) < 2**63 else object
     orders = np.lcm.reduce(_cycle_lengths(P), axis=1, dtype=exact, initial=1)
     values, counts = np.unique(orders, return_counts=True)
     return dict(zip(values.tolist(), counts.tolist()))
-
-
-def order_histogram(elements: Iterable[Permutation]) -> dict[int, int]:
-    """Multiset of element orders (the lcm of the cycle lengths), a cheap
-    isomorphism-invariant fingerprint; the elements share one degree."""
-    rows = [p.images for p in elements]
-    n = len(rows[0]) if rows else 0
-    return _orders(np.array(rows, np.min_scalar_type(n)).reshape(len(rows), n))
 
 
 def wreath_model(lam: Partition) -> tuple[int, dict[int, int]]:

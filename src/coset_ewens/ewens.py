@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import rng
+from . import rng, series
 from .cosets import predicted_intersection_order
 from .errors import ResourceLimitError
 from .partitions import Partition
@@ -36,12 +36,6 @@ Z_95 = 1.959963984540054
 _CHUNK = 4096
 _ROUND_SHIFT = 12
 _CHUNK_SHIFT = 40
-
-
-def f_of(lam: Partition) -> int:
-    """The intersection-order random variable f on partitions
-    (alias of :func:`coset_ewens.cosets.predicted_intersection_order`)."""
-    return predicted_intersection_order(lam)
 
 
 def esf_density(lam: Partition, theta) -> Fraction:
@@ -70,7 +64,7 @@ def coset_probability(lam: Partition, m: int) -> Fraction:
     if lam.m != m:
         raise ValueError(f"partition has weight {lam.m}, expected {m}")
     numer = 2 ** (2 * m) * math.factorial(m) ** 2
-    return Fraction(numer, math.factorial(2 * m) * f_of(lam))
+    return Fraction(numer, math.factorial(2 * m) * predicted_intersection_order(lam))
 
 
 # --- threshold comparison f <= m^c -------------------------------------
@@ -134,7 +128,7 @@ def _least_f(m: int, t: int) -> np.ndarray:
 def good_probability_exact(m: int, c) -> Fraction:
     """P(f <= m^c) under the double-coset measure, as an exact rational.
 
-    P(lam) = K_m / f(lam) with K_m = 4^m m!^2 / (2m)!, so the tail is
+    P(lam) = K_m / f(lam) with K_m = 4^m m!^2 / (2m)! = 1 / W(1, m), so the tail is
     K_m * sum N_m(f)/f over f <= T, where T is the largest integer with
     T <= m^c and N_m(f) counts the partitions of m with that f.  f is a
     product over part sizes i of (2i)^r r! (r the multiplicity), every
@@ -151,6 +145,8 @@ def good_probability_exact(m: int, c) -> Fraction:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     work = m * m
     if work > EXACT_TAIL_WORK:
         raise ResourceLimitError(
@@ -209,8 +205,7 @@ def good_probability_exact(m: int, c) -> Fraction:
                 )
     # every f divides 2^m m! (the quotient is 2^(m - parts) times the size
     # of a conjugacy class of S_m), so sum n/f is an integer over top
-    k_m = Fraction(4**m * math.factorial(m) ** 2, math.factorial(2 * m))
-    return k_m * Fraction(sum(n * (top // f) for f, n in counts[m].items()), top)
+    return Fraction(sum(n * (top // f) for f, n in counts[m].items()), top) / series.W_one_closed(m)
 
 
 # --- sampling -----------------------------------------------------------
@@ -384,7 +379,8 @@ def _chunk_hits(m: int, c: float, seed: int, chunk_index: int, count: int,
     for flat, k in zip(classes.view(np.int64).reshape(n.size, -1).tolist(), n.tolist()):
         key = tuple((size, mult) for size, mult in zip(flat[::2], flat[1::2]) if size)
         if key not in band:
-            band[key] = f_leq_threshold(f_of(Partition.trusted(key, m)), m, c)
+            band[key] = f_leq_threshold(
+                predicted_intersection_order(Partition.trusted(key, m)), m, c)
         hits += k * band[key]
     return hits
 

@@ -1,11 +1,8 @@
-"""Integer partitions: canonical form, enumeration, counting, and the
-Hardy-Ramanujan growth approximation.
-"""
+"""Integer partitions: canonical form, enumeration and counting."""
 from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -175,22 +172,3 @@ def partition_count(m: int) -> int:
             k += 1
         _pcount.append(total)
     return _pcount[m]
-
-
-# largest m for which exp(pi*sqrt(2m/3)) stays below the float maximum
-HARDY_RAMANUJAN_MAX_M = int(1.5 * (math.log(sys.float_info.max) / math.pi) ** 2)
-
-
-def hardy_ramanujan(m: int) -> float:
-    """Leading-order growth approximation exp(pi*sqrt(2m/3)) / (4*sqrt(3)*m).
-
-    Accurate only asymptotically; at small m the ratio to p(m) is far
-    from 1.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > HARDY_RAMANUJAN_MAX_M:
-        raise OverflowError(
-            f"hardy_ramanujan overflows float range for m > {HARDY_RAMANUJAN_MAX_M}"
-        )
-    return math.exp(math.pi * math.sqrt(2.0 * m / 3.0)) / (4.0 * math.sqrt(3.0) * m)

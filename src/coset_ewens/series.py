@@ -215,6 +215,7 @@ def _float_product(betas: Sequence[float], M: int) -> np.ndarray:
     return rev[:, ::-1].T
 
 
+# bench/tracer.py wraps this name by getattr: keep it until the tracer changes (ROADMAP 1(b))
 def W_coefficient(beta: float, m: int) -> float:
     """Float W(beta, m) through the series product (degree-exact)."""
     return float(_float_product((float(beta),), m)[m, 0])

@@ -20,7 +20,6 @@ from coset_ewens.cosets import (
 from coset_ewens.ewens import (
     coset_probability,
     esf_density,
-    f_of,
     good_probability_exact,
     good_probability_mc,
 )
@@ -109,7 +108,7 @@ def test_acceptance_04_mass_identities():
     for m in range(1, 31):
         lams = enumerate_partitions(m)
         ok = ok and sum(double_coset_size(lam, m) for lam in lams) == math.factorial(2 * m)
-        inv_sum = sum(Fraction(1, f_of(lam)) for lam in lams)
+        inv_sum = sum(Fraction(1, predicted_intersection_order(lam)) for lam in lams)
         ok = ok and inv_sum == Fraction(math.factorial(2 * m),
                                         2 ** (2 * m) * math.factorial(m) ** 2)
     report(4, "mass identities hold exactly (m<=30)", ok)

@@ -25,22 +25,20 @@ from coset_ewens.cosets import (
     _H_array,
     _coset_type_lengths,
     _cycle_lengths,
+    _intersection_rows,
     _lex_permutations,
+    _orders,
     _walk,
-    base_involution,
     canonical_cycles,
     canonical_rep,
     double_coset_size,
-    enumerate_H,
     enumerate_double_cosets,
     h_generators,
     intersection_subgroup,
     is_in_H,
-    order_histogram,
     partition_of,
     predicted_intersection_order,
     reduce_to_even_support,
-    tc_decompose,
     wreath_model,
 )
 
@@ -55,6 +53,13 @@ def rand_perm(rng, n):
     return Permutation(tuple(images))
 
 
+def base_involution(m):
+    """h0 = (1 2)(3 4)...(2m-1 2m)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return from_cycles(2 * m, [(2 * k - 1, 2 * k) for k in range(1, m + 1)])
+
+
 def centralizes_h0(g, m):
     """Oracle for is_in_H: H as the centralizer of the base involution."""
     h0 = base_involution(m)
@@ -65,14 +70,14 @@ def intersection_oracle(g, m):
     """Oracle for intersection_subgroup: h is in gHg^{-1} iff g^{-1} h g
     centralizes the base involution."""
     ginv = inverse(g)
-    out = [h for h in enumerate_H(m) if centralizes_h0(conjugate(h, ginv), m)]
+    out = [h for h in enumerate_H_oracle(m) if centralizes_h0(conjugate(h, ginv), m)]
     out.sort(key=lambda p: p.images)
     return out
 
 
 def enumerate_H_oracle(m):
-    """Oracle for enumerate_H: the (block permutation, sign vector) pairs
-    as nested loops, one checked Permutation each."""
+    """Oracle for the rows of _H_array: the (block permutation, sign
+    vector) pairs as nested loops, one checked Permutation each."""
     out = []
     for sigma in itertools.permutations(range(m)):
         for signs in itertools.product((0, 1), repeat=m):
@@ -86,8 +91,8 @@ def enumerate_H_oracle(m):
 
 
 def order_histogram_oracle(elements):
-    """Oracle for order_histogram: the lcm of the lengths of the disjoint
-    cycles of each element, counted."""
+    """Oracle for _orders: the lcm of the lengths of the disjoint cycles of
+    each element, counted."""
     return dict(Counter(math.lcm(*map(len, disjoint_cycles(p))) for p in elements))
 
 
@@ -237,6 +242,8 @@ def union_find_partition(g, m):
 
 
 class TestBaseInvolution:
+    """The h0 of the centralizer oracle."""
+
     def test_m1(self):
         assert cycle_string(base_involution(1)) == "(1 2)"
 
@@ -288,26 +295,30 @@ class TestMembership:
             is_in_H(identity(4), 3)
 
 
+def H_images(m):
+    return set(map(tuple, _H_array(m).tolist()))
+
+
 class TestEnumerateH:
+    """H as the rows of _H_array, against the loop oracle and the filter."""
+
     def test_m1(self):
-        got = {cycle_string(h) for h in enumerate_H(1)}
+        got = {cycle_string(Permutation(h)) for h in H_images(1)}
         assert got == {"()", "(1 2)"}
 
     def test_m2_matches_filter(self):
-        from_enum = {h.images for h in enumerate_H(2)}
         from_filter = {g.images for g in all_perms(4) if is_in_H(g, 2)}
-        assert from_enum == from_filter
-        assert len(from_enum) == 8
+        assert H_images(2) == from_filter
+        assert len(from_filter) == 8
 
     def test_m3_count_exhaustive(self):
-        from_enum = {h.images for h in enumerate_H(3)}
         from_filter = {g.images for g in all_perms(6) if is_in_H(g, 3)}
-        assert from_enum == from_filter
-        assert len(from_enum) == 48
+        assert H_images(3) == from_filter
+        assert len(from_filter) == 48
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_equals_loop_oracle(self, m):
-        assert enumerate_H(m) == enumerate_H_oracle(m)
+        assert _H_array(m).tolist() == [list(h.images) for h in enumerate_H_oracle(m)]
 
     def test_array_read_only(self):
         for m in (1, 3, 5):
@@ -316,46 +327,17 @@ class TestEnumerateH:
             with pytest.raises(ValueError):
                 H[0, 0] = 1
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_H(9)
-
-    def test_cap_refuses_m7(self):
-        # 645 120 Permutations at m = 7: refused before any is built
-        with pytest.raises(ResourceLimitError, match="m <= 6"):
-            enumerate_H(7)
-
     @pytest.mark.parametrize("m", [0, -1])
     def test_m_below_one_is_usage_error(self, m):
-        for fn in (enumerate_H, h_generators, enumerate_double_cosets):
+        for fn in (h_generators, enumerate_double_cosets):
             with pytest.raises(ValueError, match="m must be >= 1"):
                 fn(m)
 
 
 class TestTCDecompose:
-    def test_identity(self):
-        parts = tc_decompose(identity(6), 3)
-        assert parts.t_odd == parts.t_even == parts.c == identity(6)
-
-    def test_base_involution(self):
-        h0 = base_involution(4)
-        parts = tc_decompose(h0, 4)
-        assert parts.t_odd == parts.t_even == identity(8)
-        assert parts.c == h0
-
-    def test_pure_block_swap(self):
-        parts = tc_decompose(from_cycles(4, [(1, 3), (2, 4)]), 2)
-        assert cycle_string(parts.t_odd) == "(1 3)"
-        assert cycle_string(parts.t_even) == "(2 4)"
-        assert parts.c == identity(4)
-
-    def test_rejects_non_member(self):
-        with pytest.raises(ValueError):
-            tc_decompose(from_cycles(4, [(1, 3)]), 2)
-
-    def test_reconstruction_all_m4(self):
-        for h in enumerate_H(4):
-            assert tc_decompose(h, 4).reconstruct() == h
+    """The unique factorization h = t_odd * t_even * c of every h in H:
+    t_odd on the odd symbols, t_even the mirror image of the same block
+    permutation on the even ones, and c a product of in-block swaps."""
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_uniqueness_over_all_triples(self, m):
@@ -385,11 +367,10 @@ class TestTCDecompose:
                     products[key] = products.get(key, 0) + 1
         # every element of H is produced by exactly one candidate triple;
         # non-complementary triples land outside H and are irrelevant
-        H = enumerate_H(m)
-        h_images = {h.images for h in H}
+        h_images = H_images(m)
         assert all(products.get(img, 0) == 1 for img in h_images)
         in_H_total = sum(cnt for img, cnt in products.items() if img in h_images)
-        assert in_H_total == len(H)
+        assert in_H_total == len(_H_array(m)) == 2**m * math.factorial(m)
 
 
 class TestPartitionOf:
@@ -417,7 +398,7 @@ class TestPartitionOf:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_bi_invariance(self, m):
         rng = random.Random(100 + m)
-        H = enumerate_H(m)
+        H = enumerate_H_oracle(m)
         for _ in range(500):
             g = rand_perm(rng, 2 * m)
             h1, h2 = rng.choice(H), rng.choice(H)
@@ -514,7 +495,7 @@ class TestOrderFormulas:
 class TestIntersectionSubgroup:
     def test_identity_gives_H(self):
         sub = intersection_subgroup(identity(6), 3)
-        assert {p.images for p in sub} == {p.images for p in enumerate_H(3)}
+        assert {p.images for p in sub} == H_images(3)
 
     def test_klein_four_elements(self):
         sub = intersection_subgroup(from_cycles(4, [(1, 3)]), 2)
@@ -536,7 +517,7 @@ class TestIntersectionSubgroup:
     def test_conjugation_equivariance(self):
         rng = random.Random(9)
         m = 3
-        H = enumerate_H(m)
+        H = enumerate_H_oracle(m)
         for _ in range(10):
             g = rand_perm(rng, 2 * m)
             h = rng.choice(H)
@@ -574,10 +555,11 @@ class TestWreathModel:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_fingerprints_match_brute_force(self, m):
         for lam in enumerate_partitions(m):
-            sub = intersection_subgroup(canonical_rep(lam, m), m)
+            rows = _intersection_rows(canonical_rep(lam, m), m)
             order, hist = wreath_model(lam)
-            assert order == len(sub)
-            assert hist == order_histogram(sub) == order_histogram_oracle(sub)
+            assert order == len(rows)
+            sub = [Permutation(tuple(row)) for row in rows.tolist()]
+            assert hist == _orders(rows) == order_histogram_oracle(sub)
 
     @pytest.mark.parametrize("m", range(7))
     def test_equals_closure_oracle(self, m):
@@ -617,7 +599,14 @@ class TestWreathModel:
                 wreath_model(Partition.parse(text))
 
 
+def order_rows(elements, n):
+    """The images of permutations of degree n as rows of the least dtype."""
+    return np.array([p.images for p in elements], np.min_scalar_type(n)).reshape(len(elements), n)
+
+
 class TestOrderHistogram:
+    """_orders on permutation rows, against the disjoint-cycle oracle."""
+
     @pytest.mark.parametrize("n", [1, 2, 8, 130, 300])
     def test_cycle_lengths_equal_walk(self, n):
         rng = np.random.default_rng(n)
@@ -632,7 +621,7 @@ class TestOrderHistogram:
     def test_equals_oracle(self, n):
         rng = random.Random(n)
         elements = [identity(n)] + [rand_perm(rng, n) for _ in range(300)]
-        assert order_histogram(elements) == order_histogram_oracle(elements)
+        assert _orders(order_rows(elements, n)) == order_histogram_oracle(elements)
 
     def test_order_beyond_int64(self):
         # one cycle of each prime length up to 53: order 2*3*...*53 > 2^63
@@ -642,11 +631,13 @@ class TestOrderHistogram:
             images += list(range(s + 1, s + p)) + [s]
             s += p
         g = Permutation(tuple(images))
-        assert order_histogram([g]) == {math.prod(primes): 1} == order_histogram_oracle([g])
+        got = _orders(order_rows([g], g.n))
+        assert got == {math.prod(primes): 1} == order_histogram_oracle([g])
         assert math.prod(primes) > 2**63
 
     def test_empty(self):
-        assert order_histogram([]) == {}
+        for n in (0, 6):
+            assert _orders(np.zeros((0, n), np.int8)) == {}
 
 
 class TestOrbitSweep:
@@ -707,7 +698,7 @@ class TestEvenSupportReduction:
         g = from_cycles(4, [(1, 3)])
         red = reduce_to_even_support(g, 2)
         self.assert_valid(g, 2, red)
-        H = enumerate_H(2)
+        H = enumerate_H_oracle(2)
         coset = {compose(compose(h1, g), h2).images for h1 in H for h2 in H}
         assert red.result.images in coset
 

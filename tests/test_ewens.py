@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coset_ewens import cosets, ewens, rng
+from coset_ewens.cosets import predicted_intersection_order
 from coset_ewens.errors import ResourceLimitError
 from coset_ewens.partitions import Partition, enumerate_partitions, iter_partitions
 from coset_ewens.series import left_tail_bound, right_tail_bound
@@ -15,7 +16,6 @@ from coset_ewens.ewens import (
     coset_probability,
     esf_density,
     f_leq_threshold,
-    f_of,
     good_probability_exact,
     good_probability_mc,
     sample_partition,
@@ -92,22 +92,26 @@ class TestCosetProbability:
 
     def test_inverse_order_sum(self):
         for m in range(1, 17):
-            total = sum(Fraction(1, f_of(lam)) for lam in enumerate_partitions(m))
+            total = sum(Fraction(1, predicted_intersection_order(lam))
+                        for lam in enumerate_partitions(m))
             expected = Fraction(math.factorial(2 * m),
                                 2 ** (2 * m) * math.factorial(m) ** 2)
             assert total == expected
 
 
 class TestFOf:
+    """f(lam) = prod (2i)^{r_i} r_i!, named predicted_intersection_order."""
+
     def test_values(self):
-        assert f_of(Partition.parse("1^3")) == 48
-        assert f_of(Partition.parse("4^1")) == 8
-        assert f_of(Partition.parse("1^1 2^2")) == 64
+        assert predicted_intersection_order(Partition.parse("1^3")) == 48
+        assert predicted_intersection_order(Partition.parse("4^1")) == 8
+        assert predicted_intersection_order(Partition.parse("1^1 2^2")) == 64
 
     def test_log_f_agrees(self):
         for m in range(1, 12):
             for lam in enumerate_partitions(m):
-                assert log_f(lam) == pytest.approx(math.log(f_of(lam)), rel=1e-12)
+                f = predicted_intersection_order(lam)
+                assert log_f(lam) == pytest.approx(math.log(f), rel=1e-12)
 
 
 class TestThreshold:
@@ -150,6 +154,12 @@ class TestGoodProbabilityExact:
 
     def test_decreasing_pair(self):
         assert good_probability_exact(40, 3) < good_probability_exact(20, 3)
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_c(self, c):
+        # as good_probability_mc does
+        with pytest.raises(ValueError, match="c must be finite"):
+            good_probability_exact(10, c)
 
     def test_cap(self):
         # m^2 bound-table cells alone exceed the budget: refused before
@@ -214,8 +224,8 @@ def test_least_f_table(t):
     assert lo.dtype == (np.int64 if t < 2**62 else object)
     for k in range(m + 1):
         for r in range(m + 1):
-            fs = [f_of(lam) for lam in iter_partitions(r) if lam.counts[-1][0] <= k] \
-                if r else [1]
+            fs = [predicted_intersection_order(lam) for lam in iter_partitions(r)
+                  if lam.counts[-1][0] <= k] if r else [1]
             assert lo[k, r] == min([*fs, t + 1]), (k, r)
 
 
@@ -223,7 +233,7 @@ def enumerated_mass_by_f(m):
     """Oracle: exact class mass of each f, summed over every partition of m."""
     agg: dict[int, Fraction] = {}
     for lam in iter_partitions(m):
-        f = f_of(lam)
+        f = predicted_intersection_order(lam)
         agg[f] = agg.get(f, Fraction(0)) + coset_probability(lam, m)
     return agg
 
@@ -605,7 +615,8 @@ def chunk_hits_oracle(m, c, seed, chunk_index, count, band):
     for a, b in bounds.tolist():
         key = tuple(zip(sizes[a:b].tolist(), r[a:b].tolist()))
         if key not in band:
-            band[key] = f_leq_threshold(f_of(Partition.trusted(key, m)), m, c)
+            f = predicted_intersection_order(Partition.trusted(key, m))
+            band[key] = f_leq_threshold(f, m, c)
         hits += band[key]
     return hits
 
@@ -633,7 +644,7 @@ def test_chunk_hits_match_per_lane_oracle(m, c):
 def test_chunk_hits_match_exact_count(m, c):
     band: dict = {}
     for chunk in (0, 3):
-        want = sum(f_leq_threshold(f_of(Partition.from_parts(p)), m, c)
+        want = sum(f_leq_threshold(predicted_intersection_order(Partition.from_parts(p)), m, c)
                    for p in _reference_parts_chunk(m, 0.5, 2024, chunk, 4096))
         assert _chunk_hits(m, c, 2024, chunk, 4096, band) == want
 

@@ -26,7 +26,8 @@ from coset_ewens.series import (
     _float_product,
     _zeta_tail,
 )
-from coset_ewens.ewens import f_of, good_probability_exact
+from coset_ewens.cosets import predicted_intersection_order
+from coset_ewens.ewens import good_probability_exact
 
 
 def log_f(lam: Partition) -> float:
@@ -150,7 +151,8 @@ def fraction_product(beta: int, M: int) -> list[Fraction]:
 
 def fraction_W(beta: int, m: int) -> Fraction:
     """Oracle: one Fraction per partition."""
-    return sum((Fraction(1, f_of(lam) ** beta) for lam in enumerate_partitions(m)), Fraction(0))
+    return sum((Fraction(1, predicted_intersection_order(lam) ** beta)
+                for lam in enumerate_partitions(m)), Fraction(0))
 
 
 def fsum_W(beta: float, m: int) -> float:
