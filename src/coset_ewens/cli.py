@@ -9,12 +9,15 @@ range.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
+import itertools
 import json
 import math
+import os
 import re
 import sys
 import time
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from . import rng, series as series_mod
@@ -44,8 +47,13 @@ EXIT_VERIFY_FAILED = 3
 EXIT_RESOURCE = 4
 EXIT_NUMERIC_RANGE = 5
 
-# table and double-cosets hold every row, so memory, not time, sets the cap: 1.4 GiB at 59
-CLASS_TABLE_MAX_M = 59
+# table and double-cosets stream their rows at a flat 31 MiB max RSS, so time sets
+# the cap: double-cosets takes 24 s at m = 59, 36 s at 62, 60 s at 65, 104 s at 70
+# and 137 s at 71 (2-core Xeon, Python 3.11)
+CLASS_TABLE_MAX_M = 70
+# rows per json.dumps call as they stream: the 14 883 rows of double-cosets 35
+# take 103 ms at one call a row, 58 ms as one list and 54 ms at 512 a call
+ROW_BATCH = 512
 # the exact coset size's digits make classify about quadratic in m
 CLASSIFY_MAX_M = 20_000
 
@@ -144,11 +152,9 @@ def cmd_double_cosets(args) -> dict:
     m = args.m
     _check_class_table_m(m)
     h_order = 2**m * math.factorial(m)
-    classes = []
-    for counts, f in iter_counts(m):
-        record = CosetClass(Partition.trusted(counts, m), f, h_order * h_order // f,
-                            canonical_cycles(counts, m))
-        classes.append(record.to_json_dict())
+    classes = (CosetClass(Partition.trusted(counts, m), f, h_order * h_order // f,
+                          canonical_cycles(counts, m)).to_json_dict()
+               for counts, f in iter_counts(m))
     return {"m": m, "classes": classes}
 
 
@@ -157,20 +163,24 @@ def cmd_table(args) -> dict:
     _check_class_table_m(m)
     h_order = 2**m * math.factorial(m)
     fact_2m = math.factorial(2 * m)
-    rows = []
-    mass = 0  # sum of |HxH|, so that the total is one Fraction
-    for counts, f in iter_counts(m):
-        size = h_order * h_order // f
-        prob = Fraction(size, fact_2m)
-        mass += size
-        rows.append({
-            "lambda": str(Partition.trusted(counts, m)),
-            "predicted_order": str(f),
-            "coset_size": str(size),
-            "probability": _fmt_fraction(prob),
-            "probability_float": float(prob),
-        })
-    return {"m": m, "rows": rows, "total": _fmt_fraction(Fraction(mass, fact_2m))}
+    mass = 0  # sum of |HxH| over the rows written, so that the total is one Fraction
+
+    def rows():
+        nonlocal mass
+        for counts, f in iter_counts(m):
+            size = h_order * h_order // f
+            prob = Fraction(size, fact_2m)
+            mass += size
+            yield {
+                "lambda": str(Partition.trusted(counts, m)),
+                "predicted_order": str(f),
+                "coset_size": str(size),
+                "probability": _fmt_fraction(prob),
+                "probability_float": float(prob),
+            }
+
+    # "total" follows "rows": the writer calls it after the last row
+    return {"m": m, "rows": rows(), "total": lambda: _fmt_fraction(Fraction(mass, fact_2m))}
 
 
 def cmd_sample(args) -> dict:
@@ -231,7 +241,40 @@ def cmd_asymptotics(args) -> dict:
     }
 
 
-# --- CSV rendering -------------------------------------------------------
+# --- output --------------------------------------------------------------
+
+def _json_rows(rows: Iterator) -> Iterator[str]:
+    yield "["
+    sep = ""
+    while batch := list(itertools.islice(rows, ROW_BATCH)):
+        yield sep + json.dumps(batch, allow_nan=False)[1:-1]
+        sep = ", "
+    yield "]"
+
+
+def _json_late(value: Callable) -> Iterator[str]:
+    yield json.dumps(value(), allow_nan=False)
+
+
+def _json_pieces(obj) -> list:
+    """``json.dumps(obj, allow_nan=False)`` as strings and iterators of strings.
+
+    An iterator in ``obj`` is encoded ROW_BATCH rows a call, and a callable is
+    called, only when the writer reaches it.  Everything else is encoded here,
+    so a non-finite float raises before a byte is written.
+    """
+    if isinstance(obj, dict):
+        pieces = ["{"]
+        for i, (key, value) in enumerate(obj.items()):
+            pieces.append((", " if i else "") + json.dumps(key) + ": ")
+            pieces += _json_pieces(value)
+        return pieces + ["}"]
+    if isinstance(obj, Iterator):
+        return [_json_rows(obj)]
+    if callable(obj):
+        return [_json_late(obj)]
+    return [json.dumps(obj, allow_nan=False)]
+
 
 def _csv_escape(v) -> str:
     if isinstance(v, float):
@@ -239,39 +282,47 @@ def _csv_escape(v) -> str:
     return str(v)
 
 
-def _rows_to_csv(fieldnames: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(fieldnames) + "\n")
+def _csv_lines(fieldnames: list[str], rows: Iterable[dict]) -> Iterator[str]:
+    yield ",".join(fieldnames) + "\n"
     for row in rows:
-        buf.write(",".join(_csv_escape(row[f]) for f in fieldnames) + "\n")
-    return buf.getvalue()
+        yield ",".join(_csv_escape(row[f]) for f in fieldnames) + "\n"
 
 
-def _payload_csv(command: str, payload: dict) -> str | None:
+def _payload_csv(command: str, payload: dict) -> Iterator[str] | None:
     if command == "table":
-        return _rows_to_csv(
+        return _csv_lines(
             ["lambda", "predicted_order", "coset_size", "probability", "probability_float"],
             payload["rows"])
     if command == "double-cosets":
-        return _rows_to_csv(
+        return _csv_lines(
             ["lambda", "predicted_order", "coset_size", "canonical"],
             payload["classes"])
     if command == "sample":
-        return _rows_to_csv(
+        return _csv_lines(
             ["m", "c", "samples", "frequency", "wilson_radius_95", "seed"],
             [payload])
     if command == "series":
         rows = [{"m": k, "coefficient": v} for k, v in enumerate(payload["coefficients"])]
-        return _rows_to_csv(["m", "coefficient"], rows)
+        return _csv_lines(["m", "coefficient"], rows)
     if command == "asymptotics":
         rows = [{"m": r["m"], "scaled": r["scaled"],
                  "relative_deviation": r["relative_deviation"],
                  "limit": payload["limit"]} for r in payload["rows"]]
-        return _rows_to_csv(["m", "scaled", "limit", "relative_deviation"], rows)
+        return _csv_lines(["m", "scaled", "limit", "relative_deviation"], rows)
     if command == "tails":
         rows = [{"alpha": a, "left_bound": b} for a, b in payload["left"]["grid"]]
-        return _rows_to_csv(["alpha", "left_bound"], rows)
+        return _csv_lines(["alpha", "left_bound"], rows)
     return None
+
+
+def _write(pieces: list, out_path: str | None) -> None:
+    """Write each piece, a string or an iterator of strings, to ``out_path`` or stdout."""
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        for piece in pieces:
+            if isinstance(piece, str):
+                fh.write(piece)
+            else:
+                fh.writelines(piece)
 
 
 # --- driver --------------------------------------------------------------
@@ -342,18 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_line(obj) -> str:
-    return json.dumps(obj, allow_nan=False) + "\n"
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -361,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
               if k not in ("func", "command", "out", "csv") and v is not None}
     start = time.monotonic()
 
-    def envelope(status: str, payload=None, error=None) -> dict:
+    def envelope(status: str, payload=None, error=None) -> list:
         env = {
             "command": args.command,
             "parameters": params,
@@ -371,37 +410,40 @@ def main(argv: list[str] | None = None) -> int:
             env["payload"] = payload
         if error is not None:
             env["error"] = error
-        env["elapsed_ms"] = int((time.monotonic() - start) * 1000)
-        return env
+        env["elapsed_ms"] = lambda: int((time.monotonic() - start) * 1000)
+        return _json_pieces(env) + ["\n"]
 
-    def fail(code: str, exc: Exception, status: int) -> int:
-        env = envelope("error", error={"code": code, "message": str(exc)})
-        _emit(_json_line(env), args.out)
-        return status
+    def fail(code: str, exc: Exception) -> list:
+        return envelope("error", error={"code": code, "message": str(exc)})
 
+    # every cap and check raises here, before the first byte is written
     try:
         rng.check_seed(args.seed)
         payload = args.func(args)
-        text = _payload_csv(args.command, payload) if args.csv else None
-        if text is None:
-            # allow_nan=False: a non-finite float in a payload becomes a
-            # usage envelope instead of invalid JSON
-            text = _json_line(envelope("ok", payload=payload))
+        csv = _payload_csv(args.command, payload) if args.csv else None
+        # allow_nan=False: a non-finite float in a payload becomes a usage
+        # envelope instead of invalid JSON
+        pieces = [csv] if csv is not None else envelope("ok", payload=payload)
+        status = EXIT_OK
     except VerificationFailure as exc:
-        return fail("verification_failed", exc, EXIT_VERIFY_FAILED)
+        pieces, status = fail("verification_failed", exc), EXIT_VERIFY_FAILED
     except ResourceLimitError as exc:
-        return fail("resource_cap", exc, EXIT_RESOURCE)
+        pieces, status = fail("resource_cap", exc), EXIT_RESOURCE
     except NumericRangeError as exc:
-        return fail("numeric_range", exc, EXIT_NUMERIC_RANGE)
+        pieces, status = fail("numeric_range", exc), EXIT_NUMERIC_RANGE
     except (ValueError, OverflowError) as exc:
-        return fail("usage", exc, EXIT_USAGE)
+        pieces, status = fail("usage", exc), EXIT_USAGE
 
-    _emit(text, args.out)
-    return EXIT_OK
+    _write(pieces, args.out)
+    return status
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:  # the reader left mid-table, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -77,17 +77,6 @@ class Partition:
             mult[part] = r
         return cls.from_multiplicities(mult)
 
-    @property
-    def num_parts(self) -> int:
-        """Total number of parts (counted with multiplicity)."""
-        return sum(r for _, r in self.counts)
-
-    def parts_desc(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for p, r in reversed(self.counts):
-            out.extend([p] * r)
-        return tuple(out)
-
     def __str__(self) -> str:
         return " ".join(f"{p}^{r}" for p, r in self.counts)
 

@@ -21,6 +21,9 @@ class Permutation:
     """A bijection of {1, ..., n}, stored as the tuple of 0-indexed images.
 
     ``images[i] == g(i+1) - 1``.  Immutable and hashable; safe to share.
+
+    >>> from_cycles(4, [(1, 3)]).images[0] + 1
+    3
     """
 
     images: tuple[int, ...]
@@ -36,16 +39,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.images)
-
-    def apply(self, symbol: int) -> int:
-        """Image of a 1-indexed symbol.
-
-        >>> from_cycles(4, [(1, 3)]).apply(1)
-        3
-        """
-        if not 1 <= symbol <= self.n:
-            raise ValueError(f"symbol {symbol} out of range 1..{self.n}")
-        return self.images[symbol - 1] + 1
 
     def __str__(self) -> str:
         return cycle_string(self)

@@ -2,8 +2,15 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
+import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +18,8 @@ from hypothesis import strategies as st
 
 from coset_ewens import cli, cosets, perm, series
 from coset_ewens.cli import main
-from coset_ewens.cosets import partition_of
+from coset_ewens.cosets import CosetClass, canonical_cycles, partition_of
+from coset_ewens.partitions import Partition, iter_counts
 from coset_ewens.perm import Permutation
 
 
@@ -28,6 +36,64 @@ def run_json(capsys, argv):
 
 def fail(*args, **kwargs):
     raise AssertionError("ran past the cap")
+
+
+def oracle_double_cosets(m):
+    """The list-building payload of ``double-cosets m``: every row is held
+    before anything is written, as the command did before it streamed."""
+    h_order = 2**m * math.factorial(m)
+    classes = []
+    for counts, f in iter_counts(m):
+        record = CosetClass(Partition.trusted(counts, m), f, h_order * h_order // f,
+                            canonical_cycles(counts, m))
+        classes.append(record.to_json_dict())
+    return {"m": m, "classes": classes}
+
+
+def oracle_table(m):
+    """The list-building payload of ``table m``, ``total`` summed over the held rows."""
+    h_order = 2**m * math.factorial(m)
+    fact_2m = math.factorial(2 * m)
+    rows = []
+    mass = 0
+    for counts, f in iter_counts(m):
+        size = h_order * h_order // f
+        prob = Fraction(size, fact_2m)
+        mass += size
+        rows.append({
+            "lambda": str(Partition.trusted(counts, m)),
+            "predicted_order": str(f),
+            "coset_size": str(size),
+            "probability": f"{prob.numerator}/{prob.denominator}",
+            "probability_float": float(prob),
+        })
+    total = Fraction(mass, fact_2m)
+    return {"m": m, "rows": rows, "total": f"{total.numerator}/{total.denominator}"}
+
+
+# command: (oracle payload, key of the rows, CSV columns)
+CLASS_TABLES = {
+    "table": (oracle_table, "rows",
+              ["lambda", "predicted_order", "coset_size", "probability", "probability_float"]),
+    "double-cosets": (oracle_double_cosets, "classes",
+                      ["lambda", "predicted_order", "coset_size", "canonical"]),
+}
+
+
+def oracle_json(command, m):
+    """The whole envelope of ``command m`` as one json.dumps, ``elapsed_ms`` 0."""
+    env = {"command": command, "parameters": {"seed": 0, "m": m}, "status": "ok",
+           "payload": CLASS_TABLES[command][0](m), "elapsed_ms": 0}
+    return json.dumps(env, allow_nan=False) + "\n"
+
+
+def oracle_csv(command, m):
+    oracle, key, fields = CLASS_TABLES[command]
+    lines = [",".join(fields)]
+    for row in oracle(m)[key]:
+        lines.append(",".join(format(row[f], ".17g") if isinstance(row[f], float)
+                              else str(row[f]) for f in fields))
+    return "\n".join(lines) + "\n"
 
 
 class TestClassify:
@@ -150,19 +216,84 @@ class TestTable:
 class TestClassTableCaps:
     @pytest.mark.parametrize("command", ["table", "double-cosets"])
     @pytest.mark.parametrize("m", [cli.CLASS_TABLE_MAX_M + 1, 75])
-    def test_m_above_cap_refused_before_enumerating(self, capsys, monkeypatch, command, m):
+    def test_m_above_cap_refused_before_enumerating(self, capsys, monkeypatch, tmp_path,
+                                                     command, m):
+        # refused before the first byte: exactly one error envelope and no row,
+        # on stdout, in place of the CSV header, and in the --out file alone
         monkeypatch.setattr(cli, "iter_counts", fail)
-        start = time.perf_counter()
-        code, env = run_json(capsys, [command, str(m)])
-        assert time.perf_counter() - start < 1.0
-        assert code == 4
-        assert env["error"]["code"] == "resource_cap"
+        path = tmp_path / "out.json"
+        for flags in ([], ["--csv"], ["--out", str(path)]):
+            start = time.perf_counter()
+            code, out = run(capsys, [command, str(m), *flags])
+            assert time.perf_counter() - start < 1.0
+            if flags and flags[0] == "--out":
+                assert out == ""
+                out = path.read_text()
+            assert code == 4
+            env = json.loads(out)  # raises on anything after the envelope
+            assert out.endswith("}\n") and "payload" not in env
+            assert env["error"]["code"] == "resource_cap"
 
     @pytest.mark.parametrize("command", ["table", "double-cosets"])
     def test_negative_m_exit_2(self, capsys, command):
         code, env = run_json(capsys, [command, "-1"])
         assert code == 2
         assert env["error"]["message"] == "m must be nonnegative"
+
+
+class TestStreamedClassTables:
+    """table and double-cosets write their rows as they are enumerated; the
+    bytes must be those of the list-building oracles, ``elapsed_ms`` held at 0."""
+
+    @pytest.fixture(autouse=True)
+    def frozen_clock(self, monkeypatch):
+        monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: 0.0))
+
+    @pytest.mark.parametrize("command", ["table", "double-cosets"])
+    @pytest.mark.parametrize("m", [*range(21), 30])  # p(20) = 627 and p(30) = 5604 rows
+    def test_bytes_equal_the_oracle(self, capsys, tmp_path, command, m):
+        expected = oracle_json(command, m)
+        assert run(capsys, [command, str(m)]) == (0, expected)
+        path = tmp_path / "out.json"
+        assert run(capsys, [command, str(m), "--out", str(path)]) == (0, "")
+        assert path.read_text() == expected
+        assert run(capsys, [command, str(m), "--csv"]) == (0, oracle_csv(command, m))
+
+    @pytest.mark.parametrize("command", ["table", "double-cosets"])
+    @pytest.mark.parametrize("batch", [1, 2, 10, 11, 12])
+    def test_batch_size_does_not_change_the_bytes(self, capsys, monkeypatch, command, batch):
+        # p(6) = 11 rows: one row a batch, a short last batch, an exact fit, one batch
+        monkeypatch.setattr(cli, "ROW_BATCH", batch)
+        assert run(capsys, [command, "6"]) == (0, oracle_json(command, 6))
+        assert run(capsys, [command, "6", "--csv"]) == (0, oracle_csv(command, 6))
+
+    def test_reader_leaving_early_ends_quietly(self):
+        # table 30 is 1.4 MB, far more than a pipe holds, so writing must go on
+        # after the reader has gone
+        src = pathlib.Path(cli.__file__).parents[1]
+        proc = subprocess.Popen([sys.executable, "-m", "coset_ewens.cli", "table", "30"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout.read(50).startswith(b'{"command": "table"')
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
+
+    def test_memory_stays_flat(self, tmp_path):
+        """double-cosets 40 (37 338 rows) to --out, traced by tracemalloc.
+
+        Measured with CPython 3.11: ``oracle_double_cosets(40)`` holds 22.8 MiB
+        traced, and 45.8 MiB at its peak once ``json.dumps`` adds the 11.5 MiB
+        envelope; the streamed command peaks at 1.1 MiB.  The bound, 4 MiB, was
+        set from the oracle alone, more than 5 times below its rows.
+        """
+        tracemalloc.start()
+        try:
+            assert main(["double-cosets", "40", "--out", str(tmp_path / "out.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSample:

@@ -41,6 +41,7 @@ from coset_ewens.cosets import (
     reduce_to_even_support,
     wreath_model,
 )
+from test_partitions import parts_desc
 
 
 def all_perms(n):
@@ -431,7 +432,7 @@ class TestCanonicalRep:
         for m in range(1, 11):
             for lam in enumerate_partitions(m):
                 cycles, j = [], 1
-                for part in lam.parts_desc():
+                for part in parts_desc(lam):
                     cycles.append(tuple(2 * (j + t) for t in range(part)))
                     j += part
                 assert canonical_rep(lam, m) == from_cycles(2 * m, cycles)
