@@ -62,10 +62,6 @@ class VerificationFailure(Exception):
     pass
 
 
-def _fmt_float(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _fmt_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
@@ -79,10 +75,6 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return x
-
-
-def _parse_m_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
 
 
 # --- command payloads ----------------------------------------------------
@@ -226,7 +218,7 @@ def cmd_series(args) -> dict:
 
 
 def cmd_asymptotics(args) -> dict:
-    m_list = _parse_m_list(args.m_list)
+    m_list = [int(t) for t in args.m_list.split(",") if t.strip()]
     rows = series_mod.asymptotic_diagnostic(args.beta, m_list)
     w1 = series_mod.W_at_one(args.beta)
     return {
@@ -278,7 +270,7 @@ def _json_pieces(obj) -> list:
 
 def _csv_escape(v) -> str:
     if isinstance(v, float):
-        return _fmt_float(v)
+        return format(v, ".17g")
     return str(v)
 
 
@@ -315,14 +307,13 @@ def _payload_csv(command: str, payload: dict) -> Iterator[str] | None:
     return None
 
 
-def _write(pieces: list, out_path: str | None) -> None:
-    """Write each piece, a string or an iterator of strings, to ``out_path`` or stdout."""
-    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
-        for piece in pieces:
-            if isinstance(piece, str):
-                fh.write(piece)
-            else:
-                fh.writelines(piece)
+def _write(pieces: list, fh) -> None:
+    """Write each piece, a string or an iterator of strings, to ``fh``."""
+    for piece in pieces:
+        if isinstance(piece, str):
+            fh.write(piece)
+        else:
+            fh.writelines(piece)
 
 
 # --- driver --------------------------------------------------------------
@@ -416,25 +407,32 @@ def main(argv: list[str] | None = None) -> int:
     def fail(code: str, exc: Exception) -> list:
         return envelope("error", error={"code": code, "message": str(exc)})
 
-    # every cap and check raises here, before the first byte is written
+    # --out is opened before the work, so that a path it cannot write loses none
     try:
-        rng.check_seed(args.seed)
-        payload = args.func(args)
-        csv = _payload_csv(args.command, payload) if args.csv else None
-        # allow_nan=False: a non-finite float in a payload becomes a usage
-        # envelope instead of invalid JSON
-        pieces = [csv] if csv is not None else envelope("ok", payload=payload)
-        status = EXIT_OK
-    except VerificationFailure as exc:
-        pieces, status = fail("verification_failed", exc), EXIT_VERIFY_FAILED
-    except ResourceLimitError as exc:
-        pieces, status = fail("resource_cap", exc), EXIT_RESOURCE
-    except NumericRangeError as exc:
-        pieces, status = fail("numeric_range", exc), EXIT_NUMERIC_RANGE
-    except (ValueError, OverflowError) as exc:
-        pieces, status = fail("usage", exc), EXIT_USAGE
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        _write(fail("usage", exc), sys.stdout)
+        return EXIT_USAGE
+    with out as fh:
+        # every cap and check raises here, before the first byte is written
+        try:
+            rng.check_seed(args.seed)
+            payload = args.func(args)
+            csv = _payload_csv(args.command, payload) if args.csv else None
+            # allow_nan=False: a non-finite float in a payload becomes a usage
+            # envelope instead of invalid JSON
+            pieces = [csv] if csv is not None else envelope("ok", payload=payload)
+            status = EXIT_OK
+        except VerificationFailure as exc:
+            pieces, status = fail("verification_failed", exc), EXIT_VERIFY_FAILED
+        except ResourceLimitError as exc:
+            pieces, status = fail("resource_cap", exc), EXIT_RESOURCE
+        except NumericRangeError as exc:
+            pieces, status = fail("numeric_range", exc), EXIT_NUMERIC_RANGE
+        except (ValueError, OverflowError) as exc:
+            pieces, status = fail("usage", exc), EXIT_USAGE
 
-    _write(pieces, args.out)
+        _write(pieces, fh)
     return status
 
 

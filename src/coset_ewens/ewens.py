@@ -17,9 +17,9 @@ from .cosets import predicted_intersection_order
 from .errors import ResourceLimitError
 from .partitions import Partition
 
-#: work budget of good_probability_exact: m^2 bound-table cells plus the
-#: DP's steps.  The most at m <= 60 is 4.15 M (c just below the top class,
-#: about 1.8 s); (2000, 2) is 4 M cells and 4.4 k steps
+#: work budget of good_probability_exact: m^2, a bound on the (part size,
+#: weight) pairs its loop scans, plus the DP's steps.  The most at m <= 60 is
+#: 4.15 M (c just below the top class, about 2 s); (2000, 2) is 4 M + 8.7 k
 EXACT_TAIL_WORK = 5_000_000
 #: sampling refused above this m: at the cap a Monte Carlo run peaks at
 #: ~182 MiB (the gap table and one build buffer), one sample_partition
@@ -100,29 +100,29 @@ def f_leq_threshold(f: int, m: int, c) -> bool:
         return dlf <= dlt
 
 
-def _least_f(m: int, t: int) -> np.ndarray:
-    """lo[k, r]: the least f over partitions of r into parts <= k, capped
-    at t + 1 (lo[k, 0] = 1), by the same knapsack as the tail: row k takes
-    row k - 1 and lets each r gain j parts of size k, a factor (2k)^j j!.
+def _least_f_bound(k: int, r: int, t: int) -> int:
+    """A lower bound on the least f of r in parts <= k: 1 at r = 0, t + 1
+    (a dead state) at k = 0 < r, else g h with j = ceil(r/k) = qk + s,
+    g = 2^j k^(j-1) (r - (j-1)k) and h = q!^(k-s) (q+1)!^s.
 
-    int64 while every product below stays under 2t + 2 < 2^63, else
-    Python ints (an object array); an entry is clamped to t // factor + 1
-    before it is multiplied, so a product above t never exceeds 2t.
+    f is prod 2a over the parts a times prod r_i! over the multiplicities.
+    - g bounds the first.  A least one with the fewest parts has no two
+      parts with a + b <= k, as merging them would not raise it (2(a+b)
+      <= 4ab), and no two parts a <= b < k, as then a >= 2 and (a-1, b+1)
+      lowers it ((a-1)(b+1) < ab: log is concave).  So it is (k, ..., k,
+      r - (j-1)k), j parts.
+    - h bounds the second.  p >= j parts take at most k sizes; the least
+      product grows with p, and at p = j it has each r_i at q or q + 1
+      (log r! is convex).
     """
-    cap = t + 1
-    lo = np.full((m + 1, m + 1), cap, dtype=np.int64 if t < 2**62 else object)
-    lo[:, 0] = 1
-    for k in range(1, m + 1):
-        row, prev = lo[k], lo[k - 1]
-        row[:] = prev
-        fac, j = 2 * k, 1
-        while fac <= t and j * k <= m:
-            src = np.minimum(prev[:m + 1 - j * k], t // fac + 1)
-            np.minimum(row[j * k:], src * fac, out=row[j * k:])
-            j += 1
-            fac *= 2 * k * j
-        np.minimum(row, cap, out=row)
-    return lo
+    if r == 0:
+        return 1
+    if k == 0:
+        return t + 1
+    j = -(-r // k)
+    q, s = divmod(j, k)
+    g = 2**j * k ** (j - 1) * (r - (j - 1) * k)
+    return g * math.factorial(q) ** (k - s) * math.factorial(q + 1) ** s
 
 
 def good_probability_exact(m: int, c) -> Fraction:
@@ -136,12 +136,12 @@ def good_probability_exact(m: int, c) -> Fraction:
     without visiting the partitions of m.  It is a branch-and-bound
     (Martello & Toth, *Knapsack Problems*, 1990, ch. 2): part sizes are
     taken in descending order, and a state (w, f) is kept only while
-    f * lo[i-1, m-w] <= T, lo the least f that parts below i can add
-    (:func:`_least_f`).
+    f * LB(i-1, m-w) <= T, LB a lower bound on the least f that parts
+    below i can add (:func:`_least_f_bound`).
 
-    Raises ResourceLimitError once the work, m^2 bound-table cells plus
-    one step per state read and per multiplicity added to it, passes
-    ``EXACT_TAIL_WORK``; the cells are counted before anything is built.
+    Raises ResourceLimitError once the work, m^2 for the (part size, weight)
+    pairs plus one step per state read and per multiplicity added to it,
+    passes ``EXACT_TAIL_WORK``; the m^2 is counted before anything is built.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -150,7 +150,7 @@ def good_probability_exact(m: int, c) -> Fraction:
     work = m * m
     if work > EXACT_TAIL_WORK:
         raise ResourceLimitError(
-            f"good_probability_exact: m^2 = {work} bound-table cells exceed "
+            f"good_probability_exact: m^2 = {work} for (part size, weight) pairs exceeds "
             f"the work budget {EXACT_TAIL_WORK}"
         )
     top = 2**m * math.factorial(m)  # f of the class 1^m, the largest
@@ -168,23 +168,21 @@ def good_probability_exact(m: int, c) -> Fraction:
             hi = mid
     if t < 2 * m:  # 2m = f of the class {m}, the smallest
         return Fraction(0)
-    lo = _least_f(m, t)
     # counts[w][f]: partitions of w into the part sizes done so far, by f
     counts: list[dict[int, int]] = [{} for _ in range(m + 1)]
     counts[0][1] = 1
-    bound = lo[m].tolist()  # bound[r]: the least f of r in parts <= m
     for i in range(m, 0, -1):
-        # a state (w, f) is dead once f * lo[i, m-w] > t: parts up to i
+        # a state (w, f) is dead once f * LB(i, m-w) > t: parts up to i
         # cannot finish it.  It is dropped when next read as a source
-        # (w <= m - i); until then it only waits, and lo only grows as i
+        # (w <= m - i); until then it only waits, and LB only grows as i
         # falls, so the counts are those of dropping it after part i + 1
-        keep, bound = bound, lo[i - 1].tolist()
+        below: list[int | None] = [None] * (m + 1)  # below[r]: LB(i - 1, r), filled as read
         # descending w: each target w + i*r has already been a source for
         # this i, so no state takes part size i twice
         for w in range(m - i, -1, -1):
             if not counts[w]:
                 continue
-            cut = keep[m - w]
+            cut = _least_f_bound(i, m - w, t)
             counts[w] = by_f = {f: n for f, n in counts[w].items() if f * cut <= t}
             for f, n in by_f.items():
                 g, v, r = f, w + i, 1
@@ -192,8 +190,10 @@ def good_probability_exact(m: int, c) -> Fraction:
                     g *= 2 * i * r  # (2i)^r r! over (2i)^(r-1) (r-1)!
                     if g > t:
                         break
-                    # not a break: g * bound[m - v] is not monotone in r
-                    if g * bound[m - v] <= t:
+                    if (b := below[m - v]) is None:
+                        b = below[m - v] = _least_f_bound(i - 1, m - v, t)
+                    # not a break: g * b is not monotone in r
+                    if g * b <= t:
                         counts[v][g] = counts[v].get(g, 0) + n
                     v += i
                     r += 1

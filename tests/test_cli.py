@@ -296,6 +296,35 @@ class TestStreamedClassTables:
         assert peak < 4 * 2**20
 
 
+class TestUnopenableOut:
+    """--out is opened before the command runs: a path that cannot be opened
+    gives one usage envelope on stdout and exit 2, before any work."""
+
+    COMMANDS = (["table", "3"], ["sample", "10", "2", "100"])
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=["table", "sample"])
+    @pytest.mark.parametrize("target", ["missing/x.json", ""], ids=["missing-dir", "dir"])
+    def test_one_usage_envelope_exit_2(self, tmp_path, argv, target):
+        path = str(tmp_path / target)
+        src = pathlib.Path(cli.__file__).parents[1]
+        proc = subprocess.run([sys.executable, "-m", "coset_ewens.cli", *argv, "--out", path],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        env = json.loads(proc.stdout)  # raises on anything after the envelope
+        assert proc.stdout.endswith("}\n") and "payload" not in env
+        assert env["command"] == argv[0] and env["error"]["code"] == "usage"
+        assert path in env["error"]["message"]
+
+    def test_refused_before_the_work(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "iter_counts", fail)
+        monkeypatch.setattr(cli, "good_probability_mc", fail)
+        for argv in self.COMMANDS:
+            code, env = run_json(capsys, [*argv, "--out", str(tmp_path / "missing" / "x.json")])
+            assert code == 2 and env["error"]["code"] == "usage"
+
+
 class TestSample:
     def test_reproducible_byte_identical(self, capsys):
         code1, env1 = run_json(capsys, ["sample", "200", "3", "5000", "--seed", "7"])

@@ -163,16 +163,17 @@ class TestGoodProbabilityExact:
             good_probability_exact(10, c)
 
     def test_cap(self):
-        # m^2 bound-table cells alone exceed the budget: refused before
-        # 2^m m! is computed
-        with pytest.raises(ResourceLimitError, match="bound-table cells"):
+        # the m^2 (part size, weight) pairs alone exceed the budget: refused
+        # before 2^m m! is computed
+        with pytest.raises(ResourceLimitError, match=r"\(part size, weight\) pairs"):
             good_probability_exact(10**6, 2)
 
     def test_budget_admits_m_above_60(self):
         assert good_probability_exact(61, 2) == ascending_tail_oracle(61, 2)
 
     def test_budget_refuses_mid_run(self, monkeypatch):
-        # (60, 30) takes about 4 M steps; 1 M admits the table and (60, 2)
+        # (60, 30) takes about 4 M steps; 1 M admits (60, 2), 3.8 k with
+        # its 3600 pairs
         monkeypatch.setattr(ewens, "EXACT_TAIL_WORK", 10**6)
         assert good_probability_exact(60, 2) == ascending_tail_oracle(60, 2)
         with pytest.raises(ResourceLimitError, match="exceeds the work budget"):
@@ -211,23 +212,75 @@ def ascending_tail_oracle(m, c) -> Fraction:
 
 
 # enumeration stops short of these; (20, 15) and (40, 12) put T above
-# 2^62, where the bound table holds Python ints
+# 2^62, where f and its bound are far past 64 bits
 @pytest.mark.parametrize("m, c", [(45, 2), (60, 3), (100, 2), (100, 3), (200, 2),
                                   (200, 2.5), (20, 15), (40, 12)])
 def test_exact_tail_matches_ascending_dp(m, c):
     assert good_probability_exact(m, c) == ascending_tail_oracle(m, c)
 
 
+def least_f_table(m: int, t: int) -> np.ndarray:
+    """Oracle: lo[k, r], the least f over partitions of r into parts <= k,
+    capped at t + 1 (lo[k, 0] = 1), by the same knapsack as the tail: row k
+    takes row k - 1 and lets each r gain j parts of size k, a factor
+    (2k)^j j!.
+
+    int64 while every product below stays under 2t + 2 < 2^63, else
+    Python ints (an object array); an entry is clamped to t // factor + 1
+    before it is multiplied, so a product above t never exceeds 2t.
+    """
+    cap = t + 1
+    lo = np.full((m + 1, m + 1), cap, dtype=np.int64 if t < 2**62 else object)
+    lo[:, 0] = 1
+    for k in range(1, m + 1):
+        row, prev = lo[k], lo[k - 1]
+        row[:] = prev
+        fac, j = 2 * k, 1
+        while fac <= t and j * k <= m:
+            src = np.minimum(prev[:m + 1 - j * k], t // fac + 1)
+            np.minimum(row[j * k:], src * fac, out=row[j * k:])
+            j += 1
+            fac *= 2 * k * j
+        np.minimum(row, cap, out=row)
+    return lo
+
+
 @pytest.mark.parametrize("t", [2 * 12 - 1, 2000, 2**62 - 1, 2**62])
 def test_least_f_table(t):
+    # the oracle itself, against enumeration, on both sides of its int64 rows
     m = 12
-    lo = ewens._least_f(m, t)
+    lo = least_f_table(m, t)
     assert lo.dtype == (np.int64 if t < 2**62 else object)
     for k in range(m + 1):
         for r in range(m + 1):
             fs = [predicted_intersection_order(lam) for lam in iter_partitions(r)
                   if lam.counts[-1][0] <= k] if r else [1]
             assert lo[k, r] == min([*fs, t + 1]), (k, r)
+
+
+@pytest.mark.parametrize("t", [2 * 12 - 1, 2000, 2**62])
+def test_least_f_bound_below_enumeration(t):
+    for k in range(13):
+        for r in range(13):
+            fs = [predicted_intersection_order(lam) for lam in iter_partitions(r)
+                  if lam.counts[-1][0] <= k] if r else [1]
+            bound = ewens._least_f_bound(k, r, t)
+            if fs:
+                assert bound <= min(fs), (k, r)
+            else:  # k = 0 < r: no partition, a dead state
+                assert bound == t + 1, (k, r)
+
+
+@pytest.mark.parametrize("m, t", [(30, 2**62 - 1), (30, None), (120, None), (400, None)])
+def test_least_f_bound_below_table(m, t):
+    # None: t = 2^m m!, the largest f, leaves every cell with k >= 1
+    # uncapped; 2^62 - 1 runs the table in int64
+    t = t or 2**m * math.factorial(m)
+    lo = least_f_table(m, t)
+    for k in range(1, m + 1):
+        for r in range(m + 1):
+            if lo[k, r] <= t:
+                assert ewens._least_f_bound(k, r, t) <= lo[k, r], (k, r)
 
 
 def enumerated_mass_by_f(m):
