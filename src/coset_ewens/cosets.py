@@ -24,9 +24,12 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .partitions import Partition
-from .perm import Permutation, compose, from_cycles
+from .perm import Permutation, compose
 
 INTERSECTION_MAX_M = 5
+#: verify adds an orbits block up to this m.  Cost does not set it (the
+#: sweep takes about 0.1 s at m = 6): the verify 5 payload, pinned by
+#: bench/expected.json and tests/golden_payloads.json, has no orbits block
 ORBIT_SWEEP_MAX_M = 4
 #: wreath_model's work, order * (2m)^2; every class of m <= 6 fits
 WREATH_MODEL_MAX_COST = 10**8
@@ -80,18 +83,6 @@ def _H_array(m: int) -> np.ndarray:
     H = (blocks + (signs[:, :, None] ^ np.array([0, 1], np.int8))).reshape(-1, 2 * m)
     H.flags.writeable = False
     return H
-
-
-def h_generators(m: int) -> list[Permutation]:
-    """A small generating set of H: the first in-block swap plus adjacent
-    block transpositions (all involutions)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    n = 2 * m
-    gens = [from_cycles(n, [(1, 2)])]
-    for k in range(1, m):
-        gens.append(from_cycles(n, [(2 * k - 1, 2 * k + 1), (2 * k, 2 * k + 2)]))
-    return gens
 
 
 def _walk(img: tuple[int, ...], m: int) -> tuple[list[int], list[int]]:
@@ -276,18 +267,32 @@ class OrbitClass:
     representative: Permutation
 
 
+def _matchings(n: int) -> np.ndarray:
+    """The (n-1)!! perfect matchings of 0..n-1 (n even) as int8 rows in
+    lexicographic order, each the least g sending the blocks {2k, 2k+1}
+    onto its pairs: the pairs by least symbol, each ascending.  A row is
+    0, its partner j, then a matching of the other symbols."""
+    M = np.zeros((1, 0), np.int8)
+    for k in range(2, n + 1, 2):
+        M = np.concatenate([np.column_stack((np.zeros(len(M), np.int8), np.full(len(M), j, np.int8),
+                                             M + 1 + (M + 1 >= j))) for j in range(1, k)])
+    return M
+
+
+def _partners(P: np.ndarray) -> np.ndarray:
+    """Per row g of P, the involution g h0 g^{-1}: each symbol s to its
+    partner g(g^{-1}(s) ^ 1) in the matching g sends the blocks onto."""
+    partner = np.empty_like(P)
+    np.put_along_axis(partner, P, P[:, np.arange(P.shape[1]) ^ 1], axis=1)
+    return partner
+
+
 def _coset_type_lengths(P: np.ndarray) -> np.ndarray:
     """Per row g of P, the cycle length of each symbol under
-    q = h0 * g h0 g^{-1}, sorted within the row.  q has cycle type
-    lam u lam for g of coset type lam (Macdonald VII.2), so a part k is 2k
-    symbols on k-cycles; independent of :func:`_walk`.  q is built column
-    by column, so that no (rows, 2m) index temporary is made."""
-    rows, n = P.shape
-    base = np.arange(0, rows * n, n, dtype=np.int32)  # flat offset of each row
-    q = np.empty_like(P)
-    for j in range(n):  # q(g(j)) = h0(g(h0(j))), h0 being s -> s ^ 1
-        q.reshape(-1)[base + P[:, j]] = P[:, j ^ 1] ^ 1
-    lengths = _cycle_lengths(q)
+    q = h0 * g h0 g^{-1}, s -> partner(s) ^ 1, sorted within the row.  q
+    has cycle type lam u lam for g of coset type lam (Macdonald VII.2), so
+    a part k is 2k symbols on k-cycles; independent of :func:`_walk`."""
+    lengths = _cycle_lengths(_partners(P) ^ 1)
     lengths.sort(axis=1)
     return lengths
 
@@ -295,42 +300,30 @@ def _coset_type_lengths(P: np.ndarray) -> np.ndarray:
 def enumerate_double_cosets(m: int) -> list[OrbitClass]:
     """Orbit partition of S_2m under (h1, h2) . g = h1 g h2 (m <= 4).
 
-    S_2m is one int8 array in lexicographic order, so the base-8 keys of
-    its rows are sorted and binary search ranks the left and right
-    multiples of every row by each generator of H.  Min-label propagation
-    with pointer jumping labels each orbit by its least row.  Orbits are
-    checked for a constant :func:`_coset_type_lengths` and returned
-    sorted by their partition's text form.
+    H is the stabiliser of the block matching, so gH is fixed by the
+    matching g sends the blocks onto, and HgH / H is that matching's
+    H-orbit.  The base-16 keys of the :func:`_partners` rows sort like
+    the :func:`_matchings` rows, so the first unlabelled row is the least
+    of its orbit, and binary search labels the orbit from the keys of
+    h * g for every h in H.  Orbits are checked for a constant
+    :func:`_coset_type_lengths` and returned sorted by their partition's
+    text form.
     """
     _check_m(m, ORBIT_SWEEP_MAX_M, "enumerate_double_cosets")
-    n = 2 * m  # n <= 8: symbols are base-8 digits, keys fit in int32
-    P = _lex_permutations(n)
-
-    def keys_of(columns) -> np.ndarray:
-        key = np.zeros(len(P), np.int32)
-        for col in columns:
-            key <<= 3
-            key += col
-        return key
-
-    keys, neighbours = keys_of(P.T), []
-    for gen in h_generators(m):
-        img = np.array(gen.images, np.int8)
-        for columns in ((img[P[:, j]] for j in range(n)), (P[:, j] for j in img)):
-            neighbours.append(np.searchsorted(keys, keys_of(columns)).astype(np.int32))
-    label, before = np.arange(len(P), dtype=np.int32), None
-    while not np.array_equal(label, before):
-        before = label.copy()
-        for nb in neighbours:
-            np.minimum(label, label[nb], out=label)
-        label = label[label]
-    del keys, neighbours, before
-    lengths = _coset_type_lengths(P)
+    n = 2 * m  # n <= 14: symbols are base-16 digits, keys fit in int64
+    M, H = _matchings(n), _H_array(m)
+    weights = 16 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = _partners(M) @ weights
+    label = np.full(len(M), -1, np.intp)
+    for i in range(len(M)):
+        if label[i] < 0:
+            label[np.searchsorted(keys, _partners(H[:, M[i]]) @ weights)] = i
+    lengths = _coset_type_lengths(M)
     if np.any(lengths != lengths[label]):
         raise AssertionError("class partition not constant on an orbit")
-    roots, sizes = np.unique(label, return_counts=True)
-    reps = [Permutation(tuple(row)) for row in P[roots].tolist()]
-    orbits = [OrbitClass(partition_of(g, m), c, g) for g, c in zip(reps, sizes.tolist())]
+    roots, counts = np.unique(label, return_counts=True)
+    reps = [Permutation(tuple(row)) for row in M[roots].tolist()]
+    orbits = [OrbitClass(partition_of(g, m), c * len(H), g) for g, c in zip(reps, counts.tolist())]
     orbits.sort(key=lambda o: str(o.lam))
     return orbits
 

@@ -337,9 +337,9 @@ class SampleReport:
         return asdict(self)
 
 
-def wilson_radius(hits: int, samples: int, z: float = Z_95) -> float:
-    """Half-width of the Wilson score interval."""
-    p = hits / samples
+def wilson_radius(hits: int, samples: int) -> float:
+    """Half-width of the 95% Wilson score interval."""
+    p, z = hits / samples, Z_95
     denom = 1.0 + z * z / samples
     return z * math.sqrt(p * (1.0 - p) / samples + z * z / (4.0 * samples * samples)) / denom
 

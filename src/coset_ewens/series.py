@@ -331,10 +331,11 @@ def _tail_bound(m: int, c: float, name: str, params: Sequence[float],
     raise NumericRangeError(f"a tail bound at m={m} is out of float64 range")
 
 
-def default_alpha_grid(points: int = 64, lo: float = 1e-3, hi: float = 8.0) -> tuple[float, ...]:
+def default_alpha_grid(points: int = 64) -> tuple[float, ...]:
+    """``points`` alphas spaced geometrically from 1e-3 to 8."""
     if points > TAIL_GRID_MAX_POINTS:
         raise ResourceLimitError(f"tail grids limited to {TAIL_GRID_MAX_POINTS} points")
-    return tuple(float(a) for a in np.geomspace(lo, hi, points))
+    return tuple(float(a) for a in np.geomspace(1e-3, 8.0, points))
 
 
 def left_tail_bound(m: int, c: float, alpha_grid: Sequence[float] | None = None) -> TailBoundResult:
@@ -387,16 +388,16 @@ class JensenResult:
         return math.exp(self.rhs_log)
 
 
-def jensen_check(alpha: float, beta: float, gamma: float, m: int,
-                 rel_slack: float = 1e-12) -> JensenResult:
+def jensen_check(alpha: float, beta: float, gamma: float, m: int) -> JensenResult:
     """Check W(alpha+beta, m) <= W(beta, m)^{1-gamma} * W(alpha/gamma+beta, m)^{gamma}
-    (log-convexity of beta |-> W(beta, m)); compared in log space."""
+    (log-convexity of beta |-> W(beta, m)); compared in log space, with a
+    relative slack of 1e-12 for rounding."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie strictly inside (0, 1)")
     lhs = log_W_direct(alpha + beta, m)
     rhs = ((1.0 - gamma) * log_W_direct(float(beta), m)
            + gamma * log_W_direct(alpha / gamma + beta, m))
-    ok = lhs <= rhs + rel_slack * max(1.0, abs(rhs))
+    ok = lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
     return JensenResult(ok, lhs, rhs)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from coset_ewens.errors import ResourceLimitError
-from coset_ewens.partitions import Partition, enumerate_partitions, iter_counts
+from coset_ewens.partitions import Partition, enumerate_partitions, iter_counts, partition_count
 from coset_ewens.perm import (
     Permutation,
     compose,
@@ -27,13 +27,14 @@ from coset_ewens.cosets import (
     _cycle_lengths,
     _intersection_rows,
     _lex_permutations,
+    _matchings,
     _orders,
+    _partners,
     _walk,
     canonical_cycles,
     canonical_rep,
     double_coset_size,
     enumerate_double_cosets,
-    h_generators,
     intersection_subgroup,
     is_in_H,
     partition_of,
@@ -156,6 +157,32 @@ def cycle_lengths_oracle(images):
             for t in cycle:
                 out[t] = len(cycle)
     return out
+
+
+def h_generators(m):
+    """A small generating set of H: the first in-block swap plus adjacent
+    block transpositions (all involutions)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    n = 2 * m
+    gens = [from_cycles(n, [(1, 2)])]
+    for k in range(1, m):
+        gens.append(from_cycles(n, [(2 * k - 1, 2 * k + 1), (2 * k, 2 * k + 2)]))
+    return gens
+
+
+def matchings_oracle(n):
+    """The least rows of the perfect matchings of 0..n-1, one per product
+    of choices: the least unpaired symbol takes the c-th other unpaired
+    symbol as its partner."""
+    rows = []
+    for choice in itertools.product(*(range(k) for k in range(n - 1, 0, -2))):
+        free, row = list(range(n)), []
+        for c in choice:
+            s = free.pop(0)
+            row += [s, free.pop(c)]
+        rows.append(row)
+    return sorted(rows)
 
 
 def orbit_sweep_oracle(m):
@@ -663,6 +690,40 @@ class TestOrbitSweep:
             got = _lex_permutations(n)
             assert got.dtype == np.int8
             assert np.array_equal(got, expected.reshape(math.factorial(n), n))
+
+    @pytest.mark.parametrize("n", [0, 2, 4, 6, 8, 10, 12])
+    def test_matchings(self, n):
+        M = _matchings(n)
+        assert M.dtype == np.int8
+        assert len(M) == math.prod(range(n - 1, 0, -2))
+        assert M.tolist() == matchings_oracle(n)
+        partners = _partners(M).tolist()
+        for row, partner in zip(M.tolist(), partners):
+            assert all(partner[row[j]] == row[j ^ 1] for j in range(n))
+        # the sweep's base-16 keys sort like the rows: every symbol is a
+        # hex digit, and the partner rows strictly increase
+        assert all(0 <= s < 16 for row in partners for s in row)
+        assert all(a < b for a, b in zip(partners, partners[1:]))
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_beyond_cli_cap(self, m, monkeypatch):
+        lex = cosets._lex_permutations
+
+        def refuse_S_2m(n):
+            if n == 2 * m:
+                raise RuntimeError("S_2m built")
+            return lex(n)
+
+        monkeypatch.setattr(cosets, "ORBIT_SWEEP_MAX_M", 6)
+        monkeypatch.setattr(cosets, "_lex_permutations", refuse_S_2m)
+        orbits = enumerate_double_cosets(m)
+        assert len(orbits) == partition_count(m)
+        sizes = sorted(o.size for o in orbits)
+        assert sizes == sorted(double_coset_size(lam, m) for lam in enumerate_partitions(m))
+        assert sum(sizes) == math.factorial(2 * m)
+        for o in orbits:
+            row = _coset_type_lengths(np.array([o.representative.images], np.int8))[0]
+            assert half_type(row.tolist()) == o.lam
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_equals_bfs_oracle(self, m):
