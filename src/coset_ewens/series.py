@@ -20,8 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericRangeError, ResourceLimitError
-from .partitions import iter_counts, partition_count
+from .partitions import iter_counts
 
+# _log_f at the cap: 0.15-0.20 s and a 21 MiB tracemalloc peak for its 7.4 MiB
+# result (m = 60, 966 467 partitions; 2-core Xeon)
 DIRECT_MAX_M = 60
 SERIES_EXACT_MAX_M = 200
 # exact integers grow like beta * M * log2(2M) bits; beta = 16 at M = 200
@@ -45,8 +47,9 @@ def W_direct(beta, m: int):
     An exact Fraction when beta is a nonnegative whole number by value
     (1, 1.0 and Fraction(1) alike): one integer sum over the common
     denominator (2^m m!)^beta, which every f divides.  Else a float, the
-    fsum of exp(-beta log f).  Capped at m <= 60, and exact mode, like the
-    exact series, at beta * m <= 3200.
+    fsum of exp(-beta log f): a non-finite beta is a ValueError, a sum
+    past float64 a NumericRangeError.  Capped at m <= 60, and exact mode,
+    like the exact series, at beta * m <= 3200.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -59,28 +62,62 @@ def W_direct(beta, m: int):
         b = int(beta)
         top = 2**m * math.factorial(m)
         return Fraction(sum((top // f) ** b for _, f in iter_counts(m)), top**b)
-    return math.fsum(map(math.exp, (-float(beta) * _log_f(m)).tolist()))
+    logs = _direct_logs(beta, m)
+    try:
+        w = math.fsum(map(math.exp, logs.tolist()))
+    except OverflowError:  # one term, or the sum, past float64
+        w = math.inf
+    if w == math.inf:  # or a +inf log
+        raise NumericRangeError(f"W_direct({beta}, {m}) is out of float64 range")
+    return w
 
 
 @lru_cache(maxsize=4)
 def _log_f(m: int) -> np.ndarray:
-    """log f(lam) of every partition of m, each bit-identical to the
-    part-by-part oracle ``log_f`` in ``tests/test_series.py``: the same
-    terms, summed in the same order."""
-    term = {(p, r): r * math.log(2 * p) + math.lgamma(r + 1)
-            for p in range(1, m + 1) for r in range(1, m // p + 1)}
-    get = term.__getitem__
-    return np.fromiter((sum(map(get, counts)) for counts, _ in iter_counts(m)),
-                       dtype=np.float64, count=partition_count(m))
+    """log f(lam) of every partition of m, in the order of ``iter_counts``
+    ({m} first, {1^m} last), each bit-identical to the part-by-part oracle
+    ``log_f`` in ``tests/test_series.py``: the same terms, summed in the
+    same order, ascending parts.
+
+    By largest part: q[w] holds the partitions of w into parts <= k, and
+    step k puts r parts k on each of q[w - k r], r = w // k down to 0.
+    Only w = m and the w that a later, larger part can complete
+    (m - w > k) are kept.
+    """
+    q = [np.zeros(1)] + [np.zeros(0)] * m
+    for k in range(1, m + 1):
+        for w in chain((m,), range(m - k - 1, k - 1, -1)):  # descending: q[w - k r] is step k - 1's
+            runs = []
+            for r in range(w // k, 0, -1):
+                runs.append(q[w - k * r] + (r * math.log(2 * k) + math.lgamma(r + 1)))
+            q[w] = np.concatenate(runs + [q[w]])
+    return q[m]
 
 
 def log_W_direct(beta: float, m: int) -> float:
-    """log W(beta, m) by a log-sum-exp over partitions (underflow-safe)."""
+    """log W(beta, m) by a log-sum-exp over partitions (underflow-safe).
+    A non-finite beta is a ValueError; a log past float64, a
+    NumericRangeError."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     if m > DIRECT_MAX_M:
         raise ResourceLimitError(f"log_W_direct limited to m <= {DIRECT_MAX_M}")
-    logs = -beta * _log_f(m)
+    logs = _direct_logs(beta, m)
     top = float(logs.max())
+    if not math.isfinite(top):
+        raise NumericRangeError(f"log W({beta}, {m}) is out of float64 range")
     return top + math.log(math.fsum(map(math.exp, (logs - top).tolist())))
+
+
+def _direct_logs(beta, m: int) -> np.ndarray:
+    """-beta log f(lam) over the partitions of m, for a finite beta.  An
+    entry past float64 is -inf (its term underflows to 0) or +inf (the
+    caller's result overflows)."""
+    beta = float(beta)
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    with np.errstate(over="ignore"):
+        return -beta * _log_f(m)
 
 
 def W_one_closed(m: int) -> Fraction:

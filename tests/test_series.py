@@ -1,14 +1,17 @@
 import math
 import random
+import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from coset_ewens import series
 from coset_ewens.errors import NumericRangeError, ResourceLimitError
-from coset_ewens.partitions import Partition, enumerate_partitions, partition_count
+from coset_ewens.partitions import Partition, enumerate_partitions, iter_counts, partition_count
 from coset_ewens.series import (
     W_at_one,
     W_coefficient,
@@ -204,6 +207,56 @@ class TestWDirect:
         for beta in (0.5, 1.5, 3.2):
             for m in range(31):
                 assert log_W_direct(beta, m) == logsumexp_W(beta, m)
+
+    def test_log_f_array_is_the_oracle_in_enumeration_order(self):
+        """The cached array itself, not an order-free sum of it: every bit,
+        in ``iter_counts`` order."""
+        def oracle_bits(m, step):
+            return np.array([log_f(Partition.trusted(counts, m))
+                             for counts, _ in islice(iter_counts(m), 0, None, step)]).view(np.uint64)
+        for m in range(31):
+            assert np.array_equal(series._log_f(m).view(np.uint64), oracle_bits(m, 1))
+        for m in (45, 60):
+            assert np.array_equal(series._log_f(m)[::97].view(np.uint64), oracle_bits(m, 97))
+
+    def test_log_f_traced_peak_at_cap(self):
+        # bound fixed before measuring: the largest-part recursion traced
+        # 21.1 MiB at m = 60 for a 7.4 MiB result
+        tracemalloc.start()
+        try:
+            series._log_f.__wrapped__(series.DIRECT_MAX_M)  # cold: past the cache
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+    def test_rejects_negative_m(self):
+        for call in (lambda: W_direct(0.5, -1), lambda: W_direct(1, -1),
+                     lambda: log_W_direct(1.0, -1), lambda: jensen_check(0.5, 1.5, 0.5, -1)):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_non_finite_beta_is_value_error(self):
+        for beta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                W_direct(beta, 5)
+            with pytest.raises(ValueError):
+                log_W_direct(beta, 5)
+
+    def test_past_float64_is_numeric_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or invalid-value warning on the way
+            for call in (lambda: W_direct(-10.0, 60),   # exp of one term overflows
+                         lambda: W_direct(-3.2, 60),    # every term finite, the sum is not
+                         lambda: W_direct(-1e308, 5),   # -beta log f is +inf
+                         lambda: log_W_direct(1e308, 5),
+                         lambda: log_W_direct(-1e308, 5)):
+                with pytest.raises(NumericRangeError):
+                    call()
+            # finite results as before: a negative beta, and terms that underflow
+            assert W_direct(-1.0, 12) == fsum_W(-1.0, 12)
+            assert isinstance(W_direct(-1.0, 12), float)
+            assert log_W_direct(1e307, 30) == logsumexp_W(1e307, 30)  # some -beta log f are -inf
 
     def test_type_follows_value(self):
         for m in (0, 5, 12):
