@@ -21,9 +21,9 @@ from .partitions import Partition
 #: weight) pairs its loop scans, plus the DP's steps.  The most at m <= 60 is
 #: 4.15 M (c just below the top class, about 2 s); (2000, 2) is 4 M + 8.7 k
 EXACT_TAIL_WORK = 5_000_000
-#: sampling refused above this m: at the cap a Monte Carlo run peaks at
-#: ~182 MiB (the gap table and one build buffer), one sample_partition
-#: draw at ~345 MiB
+#: sampling refused above this m: at the cap a Monte Carlo run or one
+#: sample_partition draw peaks at ~182 MiB (the gap table, which stays
+#: cached, and one build buffer)
 SAMPLE_MAX_M = 10**7
 
 #: two-sided 95% normal quantile, used by the Wilson score radius
@@ -210,42 +210,6 @@ def good_probability_exact(m: int, c) -> Fraction:
 
 # --- sampling -----------------------------------------------------------
 
-def _mark_spacings(m: int, theta: float, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One Ewens(theta) draw per uint64 seed, as flat ``(lanes, sizes)``
-    arrays of its parts in mark order.
-
-    The Feller coupling (Arratia, Barbour & Tavare 2003, section 1.1):
-    element n is marked independently with probability theta/(theta+n),
-    read from stream index n, and element 0 always; the parts are the
-    spacings from each mark to the next, the last one running to m.
-    """
-    n = np.arange(m)
-    mark = rng.uniform01_array(seeds[:, None], n) * (theta + n) < theta
-    mark[:, 0] = True
-    # in the flat (lanes * m) index a lane's last mark runs to the next
-    # lane's element 0, always marked, or to the end: that lane's m
-    at = np.flatnonzero(mark)
-    return at // m, np.diff(at, append=mark.size)
-
-
-def sample_partition(m: int, theta: float, seed: int) -> Partition:
-    """One draw from the Ewens distribution: the spacings between the
-    marks of :func:`_mark_spacings`.
-
-    Bit-identical for a fixed seed across runs and platforms.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > SAMPLE_MAX_M:
-        raise ResourceLimitError(f"sample_partition limited to m <= {SAMPLE_MAX_M}")
-    if not (math.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be finite and > 0, got {theta}")
-    rng.check_seed(seed)
-    _, sizes = _mark_spacings(m, theta, np.array([seed], dtype=np.uint64))
-    size, r = np.unique(sizes, return_counts=True)
-    return Partition.trusted(tuple(zip(size.tolist(), r.tolist())), m)
-
-
 @lru_cache(maxsize=2)
 def _gap_prefix(m: int, theta: float) -> np.ndarray:
     """Prefix sums G[j] = sum_{l=2..j+1} log((theta+l-1)/(l-1)), j=0..m-1,
@@ -296,11 +260,15 @@ def _next_index(G: np.ndarray, q: np.ndarray, theta: float) -> np.ndarray:
 
 def _sample_parts_chunk(m: int, theta: float, seed: int, chunk_index: int,
                         count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat ``(lanes, sizes)`` arrays of the parts of one chunk of samples,
-    via inverse-CDF gap sampling of the mark positions, one gap per
-    unfinished lane and round: the marks of :func:`_mark_spacings`,
-    skipped from one to the next.  The tests check the law against the
-    exact Ewens law by total variation."""
+    """Flat ``(lanes, sizes)`` arrays of the parts of one chunk of samples.
+
+    The Feller coupling (Arratia, Barbour & Tavare 2003, section 1.1):
+    element n of 0..m-1 is marked independently with probability
+    theta/(theta+n), element 0 always, and the spacings from each mark to
+    the next, the last one running to m, have the Ewens(theta) law.
+    Inverse-CDF gap sampling skips from one mark to the next, one gap per
+    unfinished lane and round.  The tests check the law against the exact
+    Ewens law by total variation."""
     G = _gap_prefix(m, theta)
     base = chunk_index << _CHUNK_SHIFT
     active = np.arange(count, dtype=np.int64)
@@ -319,6 +287,25 @@ def _sample_parts_chunk(m: int, theta: float, seed: int, chunk_index: int,
             active, last = active[keep], nxt[keep]
             rnd += 1
     return np.concatenate(lanes), np.concatenate(sizes)
+
+
+def sample_partition(m: int, theta: float, seed: int) -> Partition:
+    """One draw from the Ewens distribution: sample 0 of the Monte Carlo
+    stream for ``seed``, lane 0 of :func:`_sample_parts_chunk`.  The gap
+    table it builds stays cached for the next draw at the same m and theta.
+
+    Bit-identical for a fixed seed across runs and platforms.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m > SAMPLE_MAX_M:
+        raise ResourceLimitError(f"sample_partition limited to m <= {SAMPLE_MAX_M}")
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError(f"theta must be finite and > 0, got {theta}")
+    rng.check_seed(seed)
+    _, sizes = _sample_parts_chunk(m, theta, seed, 0, 1)
+    size, r = np.unique(sizes, return_counts=True)
+    return Partition.trusted(tuple(zip(size.tolist(), r.tolist())), m)
 
 
 @dataclass(frozen=True)

@@ -113,11 +113,20 @@ def _direct_logs(beta, m: int) -> np.ndarray:
     """-beta log f(lam) over the partitions of m, for a finite beta.  An
     entry past float64 is -inf (its term underflows to 0) or +inf (the
     caller's result overflows)."""
-    beta = float(beta)
-    if not math.isfinite(beta):
+    b = _beta_float(beta)
+    if not math.isfinite(b):
         raise ValueError(f"beta must be finite, got {beta}")
     with np.errstate(over="ignore"):
-        return -beta * _log_f(m)
+        return -b * _log_f(m)
+
+
+def _beta_float(beta) -> float:
+    """float(beta); a beta past float64, like a Fraction 10^400 / 3, is a
+    ValueError as a non-finite beta is, not a bare OverflowError."""
+    try:
+        return float(beta)
+    except OverflowError:
+        raise ValueError(f"beta must be finite, got {beta}") from None
 
 
 def W_one_closed(m: int) -> Fraction:
@@ -150,30 +159,24 @@ class TruncatedSeries:
         return self.coefficients[k]
 
 
-def W_series_coeffs(beta, M: int, exact: bool | None = None) -> TruncatedSeries:
+def W_series_coeffs(beta, M: int) -> TruncatedSeries:
     """Coefficients of prod_{i>=1} I_beta(z^i/(2i)^beta) through degree M.
 
     Factor i only contributes degrees >= i, so cutting every factor's
     j-sum at i*j <= M and the product at degree M reproduces every
-    coefficient m <= M without truncation error.  Exact rational mode is
-    the default for a nonnegative whole beta (by value, as in W_direct)
-    and M <= 200; otherwise coefficients are float64, for M <= 20000.
+    coefficient m <= M without truncation error.  Exact rationals for a
+    nonnegative whole beta (by value, as in W_direct) and M <= 200;
+    otherwise float64, for M <= 20000.  A beta past float64 is a
+    ValueError.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
-    if exact is None:
-        exact = _is_whole(beta) and M <= SERIES_EXACT_MAX_M
-    if exact:
-        if not _is_whole(beta):
-            raise ValueError("exact mode requires a nonnegative integer beta")
-        if M > SERIES_EXACT_MAX_M:
-            raise ResourceLimitError(
-                f"exact series mode limited to M <= {SERIES_EXACT_MAX_M}")
+    if _is_whole(beta) and M <= SERIES_EXACT_MAX_M:
         if beta * M > SERIES_EXACT_MAX_BETA_M:
             raise ResourceLimitError(
                 f"exact series mode limited to beta * M <= {SERIES_EXACT_MAX_BETA_M}")
         return TruncatedSeries(tuple(_exact_coeffs(int(beta), M)), M, True)
-    return TruncatedSeries(tuple(_float_product((float(beta),), M)[:, 0].tolist()), M, False)
+    return TruncatedSeries(tuple(_float_product((_beta_float(beta),), M)[:, 0].tolist()), M, False)
 
 
 def _exact_coeffs(beta: int, M: int) -> list[Fraction]:

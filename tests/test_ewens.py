@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -23,7 +25,6 @@ from coset_ewens.ewens import (
     SAMPLE_MAX_M,
     _chunk_hits,
     _gap_prefix,
-    _mark_spacings,
     _next_index,
     _sample_parts_chunk,
 )
@@ -330,13 +331,32 @@ def partition_counts(lanes, sizes, m) -> Counter:
                     for row, n in zip(mult[first].tolist(), k.tolist())})
 
 
+def mark_spacings(m: int, theta: float, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: the Feller coupling in one array pass, the way
+    ``sample_partition`` drew before it became lane 0 of the gap sampler.
+    One Ewens(theta) draw per uint64 seed, as flat ``(lanes, sizes)``
+    arrays of its parts in mark order.
+
+    Element n is marked independently with probability theta/(theta+n),
+    read from stream index n, and element 0 always; the parts are the
+    spacings from each mark to the next, the last one running to m.
+    """
+    n = np.arange(m)
+    mark = rng.uniform01_array(seeds[:, None], n) * (theta + n) < theta
+    mark[:, 0] = True
+    # in the flat (lanes * m) index a lane's last mark runs to the next
+    # lane's element 0, always marked, or to the end: that lane's m
+    at = np.flatnonzero(mark)
+    return at // m, np.diff(at, append=mark.size)
+
+
 def sequential_counts(m, first_seed, n, block=100_000) -> Counter:
     """Counter of the Ewens(1/2) draws of seeds first_seed..first_seed+n-1,
-    drawn by the array pass at most ``block`` lanes at a time."""
+    drawn by the Feller array pass at most ``block`` lanes at a time."""
     counts = Counter()
     for start in range(first_seed, first_seed + n, block):
         seeds = np.arange(start, min(start + block, first_seed + n), dtype=np.uint64)
-        counts += partition_counts(*_mark_spacings(m, 0.5, seeds), m)
+        counts += partition_counts(*mark_spacings(m, 0.5, seeds), m)
     return counts
 
 
@@ -379,7 +399,8 @@ def sequential_sizes(m, theta, seed) -> list[int]:
 
 
 def forest_part_sizes(m: int, theta: float, seeds: np.ndarray) -> np.ndarray:
-    """Oracle: the array pass ``sample_partition`` ran before the marks.
+    """Oracle: the array pass ``sample_partition`` ran before the Feller
+    marks of :func:`mark_spacings`.
     One Ewens(theta) draw per uint64 seed as a ``(lanes, m)`` table: the
     size of the part rooted at each element, 0 at a non-root.
 
@@ -426,16 +447,20 @@ def test_marks_match_feller_oracle_and_forest_roots(theta):
     for m in ORACLE_MS:
         seeds = ORACLE_SEEDS if m < 200 else ORACLE_SEEDS[::10]
         want = [feller_sizes(m, theta, seed) for seed in seeds]
-        lanes, sizes = _mark_spacings(m, theta, np.array(seeds, dtype=np.uint64))
+        lanes, sizes = mark_spacings(m, theta, np.array(seeds, dtype=np.uint64))
         assert lanes.tolist() == [k for k, p in enumerate(want) for _ in p]
         assert sizes.tolist() == [size for p in want for size in p]
         # the marks are the forest's roots, seed for seed
         forest = forest_part_sizes(m, theta, np.array(seeds, dtype=np.uint64))
         roots = np.count_nonzero(forest, axis=1)
         for seed, parts, k in zip(seeds, want, roots.tolist()):
-            lam = sample_partition(m, theta, seed)
-            assert lam == Partition.from_parts(parts)
-            assert num_parts(lam) == k
+            assert num_parts(Partition.from_parts(parts)) == k
+            # sample_partition is sample 0 of the gap sampler's stream
+            assert sample_partition(m, theta, seed) \
+                == Partition.from_parts(_reference_parts_chunk(m, theta, seed, 0, 1)[0])
+        for seed in seeds[:4]:
+            lanes, sizes = _sample_parts_chunk(m, theta, seed, 0, 4096)
+            assert sample_partition(m, theta, seed) == Partition.from_parts(sizes[lanes == 0].tolist())
 
 
 class TestSamplePartition:
@@ -454,6 +479,8 @@ class TestSamplePartition:
             assert Partition.from_parts(parts_desc(lam)) == lam
             assert lam.m == m
 
+    # the frequency and TV checks here draw the Feller oracle in bulk;
+    # TestGapSampler checks the law of the sampler itself
     def test_m2_frequency(self):
         hits = sequential_counts(2, 1000, 100000)[Partition.parse("2^1")]
         assert abs(hits / 100000 - 2 / 3) < 0.01
@@ -508,6 +535,19 @@ class TestSamplePartition:
         lam = sample_partition(m, theta, seed)
         assert Partition(lam.counts, lam.m) == lam
         assert lam.m == m
+
+    def test_cold_draw_memory(self):
+        # a cold draw builds the gap table, m + 1 floats, with one more
+        # buffer of m floats: 15.3 MiB at m = 10^6 (the array pass drew
+        # several arrays of m entries: 30.5 MiB)
+        _gap_prefix.cache_clear()
+        tracemalloc.start()
+        try:
+            sample_partition(10**6, 0.5, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
     def test_seed_range(self):
         sample_partition(30, 0.5, 0)
@@ -567,15 +607,16 @@ class TestRngSeedRange:
             sample_partition(3, 0.5, seed)
 
 
-def gap_sampler_tv(m):
+def gap_sampler_tv(m, theta=0.5):
     """TV distance of 250 chunks of 4096 gap-sampler draws (seed 123) from
-    the exact Ewens(1/2) law at m."""
+    the exact Ewens(theta) law at m."""
     counts = Counter()
     for chunk in range(250):
-        counts += partition_counts(*_sample_parts_chunk(m, 0.5, 123, chunk, 4096), m)
+        counts += partition_counts(*_sample_parts_chunk(m, theta, 123, chunk, 4096), m)
     n = counts.total()
     assert n == 250 * 4096
-    return tv_distance(counts, exact_distribution(m), n)
+    exact = {lam: esf_density(lam, theta) for lam in enumerate_partitions(m)}
+    return tv_distance(counts, exact, n)
 
 
 class TestGapSampler:
@@ -587,6 +628,11 @@ class TestGapSampler:
     def test_total_variation_m6(self):
         assert gap_sampler_tv(6) < 0.005
 
+    @pytest.mark.parametrize("theta", [0.25, 1, 3.7])
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_total_variation_off_half(self, m, theta):
+        assert gap_sampler_tv(m, theta) < 0.005
+
     def test_parts_sum_to_m(self):
         lanes, sizes = _sample_parts_chunk(37, 0.5, 5, 0, 2048)
         assert np.bincount(lanes, weights=sizes, minlength=2048).tolist() == [37] * 2048
@@ -595,13 +641,14 @@ class TestGapSampler:
 @pytest.mark.parametrize("m", [1, 2, 6, 37, 1000, 100000])
 @pytest.mark.parametrize("count", [1, 7, 4096])
 def test_gap_sampler_matches_reference(m, count):
-    for chunk in (0, 5, 2**20):
-        lanes, sizes = _sample_parts_chunk(m, 0.5, 77, chunk, count)
+    # sample_partition draws from this sampler at every theta
+    for theta, chunk in itertools.product((0.5, 0.25, 1, 3.7), (0, 5, 2**20)):
+        lanes, sizes = _sample_parts_chunk(m, theta, 77, chunk, count)
         got = [[] for _ in range(count)]
         for lane, size in zip(lanes.tolist(), sizes.tolist()):
             got[lane].append(size)
-        want = _reference_parts_chunk(m, 0.5, 77, chunk, count)
-        assert [sorted(p) for p in got] == [sorted(p) for p in want]
+        want = _reference_parts_chunk(m, theta, 77, chunk, count)
+        assert [sorted(p) for p in got] == [sorted(p) for p in want], (theta, chunk)
 
 
 def gap_prefix_oracle(m, theta):

@@ -243,6 +243,15 @@ class TestWDirect:
             with pytest.raises(ValueError):
                 log_W_direct(beta, 5)
 
+    def test_beta_past_float64_is_value_error(self):
+        # as a non-finite beta is, not the OverflowError of float(beta)
+        with pytest.raises(ValueError, match="beta"):
+            W_direct(Fraction(10**400, 3), 5)
+        with pytest.raises(ValueError, match="beta"):
+            log_W_direct(Fraction(-10**400, 3), 5)
+        with pytest.raises(ValueError, match="beta"):
+            W_series_coeffs(Fraction(10**400, 3), 5)
+
     def test_past_float64_is_numeric_range(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow or invalid-value warning on the way
@@ -336,11 +345,9 @@ class TestSeriesCoeffs:
         with pytest.raises(ResourceLimitError):
             W_series_coeffs(1.0, 20001)
         with pytest.raises(ResourceLimitError):
-            W_series_coeffs(1, 201, exact=True)
-        with pytest.raises(ResourceLimitError):
             W_series_coeffs(17, 200)
-        with pytest.raises(ValueError):
-            W_series_coeffs(0.5, 10, exact=True)
+        # past M = 200 a whole beta takes the float kernel
+        assert not W_series_coeffs(1, 201).exact
 
     def test_radius_sanity_at_2000(self):
         # coefficients grow sub-exponentially below beta=1 and decay
@@ -431,7 +438,7 @@ class TestBatchedKernel:
 
     def test_single_beta_path_is_the_batched_kernel(self):
         for beta, M in [(1.5, 300), (0.7, 64), (-1.5, 30)]:
-            ts = W_series_coeffs(beta, M, exact=False)
+            ts = W_series_coeffs(beta, M)
             kernel = _float_product((beta,), M)[:, 0]
             assert ts.coefficients == tuple(kernel.tolist())
             assert W_coefficient(beta, M) == kernel[M]
