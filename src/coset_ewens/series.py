@@ -11,6 +11,7 @@ with I_beta(z) = sum_j z^j / (j!)^beta.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,11 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericRangeError, ResourceLimitError
-from .partitions import iter_counts
 
-# _log_f at the cap: 0.15-0.20 s and a 21 MiB tracemalloc peak for its 7.4 MiB
-# result (m = 60, 966 467 partitions; 2-core Xeon)
-DIRECT_MAX_M = 60
 SERIES_EXACT_MAX_M = 200
 # exact integers grow like beta * M * log2(2M) bits; beta = 16 at M = 200
 # takes about 5 s (2-core Xeon), and an unbounded beta would exhaust memory
@@ -41,92 +38,36 @@ def _is_whole(beta) -> bool:
     return isinstance(beta, (int, Fraction)) and beta >= 0 and beta == int(beta)
 
 
-def W_direct(beta, m: int):
-    """sum over partitions of m of f(lam)^{-beta}, by direct enumeration.
-
-    An exact Fraction when beta is a nonnegative whole number by value
-    (1, 1.0 and Fraction(1) alike): one integer sum over the common
-    denominator (2^m m!)^beta, which every f divides.  Else a float, the
-    fsum of exp(-beta log f): a non-finite beta is a ValueError, a sum
-    past float64 a NumericRangeError.  Capped at m <= 60, and exact mode,
-    like the exact series, at beta * m <= 3200.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m > DIRECT_MAX_M:
-        raise ResourceLimitError(f"W_direct limited to m <= {DIRECT_MAX_M}")
-    if _is_whole(beta):
-        if beta * m > SERIES_EXACT_MAX_BETA_M:
-            raise ResourceLimitError(
-                f"exact W_direct limited to beta * m <= {SERIES_EXACT_MAX_BETA_M}")
-        b = int(beta)
-        top = 2**m * math.factorial(m)
-        return Fraction(sum((top // f) ** b for _, f in iter_counts(m)), top**b)
-    logs = _direct_logs(beta, m)
+def _beta_float(beta) -> float:
+    """float(beta) for a finite beta; a non-finite beta, or one past
+    float64 like Fraction(10^400, 3), is a ValueError naming it."""
     try:
-        w = math.fsum(map(math.exp, logs.tolist()))
-    except OverflowError:  # one term, or the sum, past float64
-        w = math.inf
-    if w == math.inf:  # or a +inf log
-        raise NumericRangeError(f"W_direct({beta}, {m}) is out of float64 range")
-    return w
-
-
-@lru_cache(maxsize=4)
-def _log_f(m: int) -> np.ndarray:
-    """log f(lam) of every partition of m, in the order of ``iter_counts``
-    ({m} first, {1^m} last), each bit-identical to the part-by-part oracle
-    ``log_f`` in ``tests/test_series.py``: the same terms, summed in the
-    same order, ascending parts.
-
-    By largest part: q[w] holds the partitions of w into parts <= k, and
-    step k puts r parts k on each of q[w - k r], r = w // k down to 0.
-    Only w = m and the w that a later, larger part can complete
-    (m - w > k) are kept.
-    """
-    q = [np.zeros(1)] + [np.zeros(0)] * m
-    for k in range(1, m + 1):
-        for w in chain((m,), range(m - k - 1, k - 1, -1)):  # descending: q[w - k r] is step k - 1's
-            runs = []
-            for r in range(w // k, 0, -1):
-                runs.append(q[w - k * r] + (r * math.log(2 * k) + math.lgamma(r + 1)))
-            q[w] = np.concatenate(runs + [q[w]])
-    return q[m]
-
-
-def log_W_direct(beta: float, m: int) -> float:
-    """log W(beta, m) by a log-sum-exp over partitions (underflow-safe).
-    A non-finite beta is a ValueError; a log past float64, a
-    NumericRangeError."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m > DIRECT_MAX_M:
-        raise ResourceLimitError(f"log_W_direct limited to m <= {DIRECT_MAX_M}")
-    logs = _direct_logs(beta, m)
-    top = float(logs.max())
-    if not math.isfinite(top):
-        raise NumericRangeError(f"log W({beta}, {m}) is out of float64 range")
-    return top + math.log(math.fsum(map(math.exp, (logs - top).tolist())))
-
-
-def _direct_logs(beta, m: int) -> np.ndarray:
-    """-beta log f(lam) over the partitions of m, for a finite beta.  An
-    entry past float64 is -inf (its term underflows to 0) or +inf (the
-    caller's result overflows)."""
-    b = _beta_float(beta)
+        b = float(beta)
+    except OverflowError:
+        b = math.inf
     if not math.isfinite(b):
         raise ValueError(f"beta must be finite, got {beta}")
-    with np.errstate(over="ignore"):
-        return -b * _log_f(m)
+    return b
 
 
-def _beta_float(beta) -> float:
-    """float(beta); a beta past float64, like a Fraction 10^400 / 3, is a
-    ValueError as a non-finite beta is, not a bare OverflowError."""
-    try:
-        return float(beta)
-    except OverflowError:
-        raise ValueError(f"beta must be finite, got {beta}") from None
+# bench/jobs.py calls this name: keep it until the job list changes (ROADMAP 2(g))
+def W_direct(beta, m: int):
+    """W(beta, m), coefficient m of ``W_series_coeffs(beta, m)``: an exact
+    Fraction for a nonnegative whole beta at m <= 200 and beta * m <= 3200,
+    a float otherwise up to m <= 20000.  The direct sums over partitions
+    are the tests' oracle."""
+    return W_series_coeffs(beta, m).coefficient(m)
+
+
+# bench/tracer.py wraps this name by getattr: keep it until the tracer changes (ROADMAP 2(c))
+def log_W_direct(beta: float, m: int) -> float:
+    """log W(beta, m) from the float kernel's coefficient m; a W outside
+    float64's normal range (past it, or below 2^-1022) is a
+    NumericRangeError rather than the log of an inf or a subnormal."""
+    w = W_coefficient(beta, m)
+    if w < sys.float_info.min:
+        raise NumericRangeError(f"W({beta}, {m}) is outside float64's normal range")
+    return math.log(w)
 
 
 def W_one_closed(m: int) -> Fraction:
@@ -165,18 +106,19 @@ def W_series_coeffs(beta, M: int) -> TruncatedSeries:
     Factor i only contributes degrees >= i, so cutting every factor's
     j-sum at i*j <= M and the product at degree M reproduces every
     coefficient m <= M without truncation error.  Exact rationals for a
-    nonnegative whole beta (by value, as in W_direct) and M <= 200;
-    otherwise float64, for M <= 20000.  A beta past float64 is a
-    ValueError.
+    nonnegative whole beta (by value: 1, 1.0 and Fraction(1) alike) and
+    M <= 200; otherwise float64, for M <= 20000.  A non-finite beta, or
+    one past float64, is a ValueError.
     """
+    b = _beta_float(beta)
     if M < 0:
         raise ValueError("M must be nonnegative")
     if _is_whole(beta) and M <= SERIES_EXACT_MAX_M:
-        if beta * M > SERIES_EXACT_MAX_BETA_M:
+        if b * M > SERIES_EXACT_MAX_BETA_M:
             raise ResourceLimitError(
                 f"exact series mode limited to beta * M <= {SERIES_EXACT_MAX_BETA_M}")
         return TruncatedSeries(tuple(_exact_coeffs(int(beta), M)), M, True)
-    return TruncatedSeries(tuple(_float_product((_beta_float(beta),), M)[:, 0].tolist()), M, False)
+    return TruncatedSeries(tuple(_float_product((b,), M)[:, 0].tolist()), M, False)
 
 
 def _exact_coeffs(beta: int, M: int) -> list[Fraction]:
@@ -255,10 +197,13 @@ def _float_product(betas: Sequence[float], M: int) -> np.ndarray:
     return rev[:, ::-1].T
 
 
-# bench/tracer.py wraps this name by getattr: keep it until the tracer changes (ROADMAP 1(b))
+# bench/tracer.py wraps this name by getattr: keep it until the tracer changes (ROADMAP 2(c))
 def W_coefficient(beta: float, m: int) -> float:
     """Float W(beta, m) through the series product (degree-exact)."""
-    return float(_float_product((float(beta),), m)[m, 0])
+    b = _beta_float(beta)
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    return float(_float_product((b,), m)[m, 0])
 
 
 # --- the product value at z = 1 (beta > 1) ------------------------------
@@ -301,7 +246,7 @@ def W_at_one(beta: float) -> WAtOneResult:
     N < 9e4 for every beta > 1.  Near beta = 1 the value leaves float64:
     NumericRangeError.
     """
-    beta = float(beta)
+    beta = _beta_float(beta)
     if beta <= 1.0:
         raise ValueError("W_at_one requires beta > 1 (the product diverges at 1)")
     a = 2.0 ** -beta
@@ -351,6 +296,8 @@ def _tail_bound(m: int, c: float, name: str, params: Sequence[float],
     kernel call per block of distinct ascending betas."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     if len(params) > TAIL_GRID_MAX_POINTS:
         raise ResourceLimitError(f"tail grids limited to {TAIL_GRID_MAX_POINTS} points")
     log_m = math.log(m)
@@ -393,7 +340,7 @@ def right_tail_bound(m: int, c: float, beta) -> TailBoundResult:
     """Markov bound on P(f > m^c): m^{-c(1-beta)} W(1,m)^{-1} W(beta, m)
     for 0 < beta < 1; a scalar or a grid of betas may be supplied."""
     betas = (beta,) if isinstance(beta, (int, float)) else beta
-    betas = tuple(float(b) for b in betas)
+    betas = tuple(map(_beta_float, betas))
     if not betas:
         raise ValueError("beta grid must be nonempty")
     if any(not 0.0 < b < 1.0 for b in betas):
@@ -428,6 +375,7 @@ class JensenResult:
         return math.exp(self.rhs_log)
 
 
+# bench/jobs.py calls this name: keep it until the job list changes (ROADMAP 2(g))
 def jensen_check(alpha: float, beta: float, gamma: float, m: int) -> JensenResult:
     """Check W(alpha+beta, m) <= W(beta, m)^{1-gamma} * W(alpha/gamma+beta, m)^{gamma}
     (log-convexity of beta |-> W(beta, m)); compared in log space, with a
@@ -452,7 +400,7 @@ class AsymptoticRow:
 def asymptotic_diagnostic(beta: float, m_list: Sequence[int]) -> list[AsymptoticRow]:
     """Convergence table for m^beta W(beta, m) -> W_at_one(beta)/2^beta
     (beta > 1); deviations shrink as m grows."""
-    beta = float(beta)
+    beta = _beta_float(beta)
     if beta <= 1.0:
         raise ValueError("asymptotic_diagnostic requires beta > 1")
     if not m_list:

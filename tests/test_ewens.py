@@ -113,7 +113,7 @@ class TestFOf:
         for m in range(1, 12):
             for lam in enumerate_partitions(m):
                 f = predicted_intersection_order(lam)
-                assert log_f(lam) == pytest.approx(math.log(f), rel=1e-12)
+                assert log_f(lam.counts) == pytest.approx(math.log(f), rel=1e-12)
 
 
 class TestThreshold:

@@ -1,17 +1,17 @@
 import math
 import random
-import tracemalloc
+import sys
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import islice
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from coset_ewens import series
 from coset_ewens.errors import NumericRangeError, ResourceLimitError
-from coset_ewens.partitions import Partition, enumerate_partitions, iter_counts, partition_count
+from coset_ewens.partitions import enumerate_partitions, iter_counts, partition_count
 from coset_ewens.series import (
     W_at_one,
     W_coefficient,
@@ -33,10 +33,10 @@ from coset_ewens.cosets import predicted_intersection_order
 from coset_ewens.ewens import good_probability_exact
 
 
-def log_f(lam: Partition) -> float:
-    """Oracle: log f(lam) evaluated part by part (safe for huge
-    multiplicities); ``series._log_f`` must match it bit for bit."""
-    return sum(r * math.log(2 * part) + math.lgamma(r + 1) for part, r in lam.counts)
+def log_f(counts) -> float:
+    """Oracle: log f of the partition with these (part, multiplicity)
+    counts, evaluated part by part (safe for huge multiplicities)."""
+    return sum(r * math.log(2 * part) + math.lgamma(r + 1) for part, r in counts)
 
 
 def one_beta_product(beta: float, M: int) -> np.ndarray:
@@ -158,15 +158,35 @@ def fraction_W(beta: int, m: int) -> Fraction:
                 for lam in enumerate_partitions(m)), Fraction(0))
 
 
+# the direct sums below read each m for several betas: one enumeration per m
+@lru_cache(maxsize=None)
+def quotients(m: int) -> tuple[int, ...]:
+    """2^m m! / f of every partition of m (every f divides 2^m m!)."""
+    top = 2**m * math.factorial(m)
+    return tuple(top // f for _, f in iter_counts(m))
+
+
+@lru_cache(maxsize=None)
+def log_fs(m: int) -> tuple[float, ...]:
+    return tuple(log_f(counts) for counts, _ in iter_counts(m))
+
+
+def integer_W(beta: int, m: int) -> Fraction:
+    """Oracle for a whole beta: one integer sum sum (2^m m!/f)^beta over
+    the common denominator (2^m m!)^beta; fast enough for m = 40, where
+    one Fraction per partition is not."""
+    return Fraction(sum(q**beta for q in quotients(m)), (2**m * math.factorial(m)) ** beta)
+
+
 def fsum_W(beta: float, m: int) -> float:
     """Oracle: exp(-beta log f) per partition, summed by fsum (exactly
     rounded, so the enumeration order does not matter)."""
-    return math.fsum(math.exp(-beta * log_f(lam)) for lam in enumerate_partitions(m))
+    return math.fsum(math.exp(-beta * v) for v in log_fs(m))
 
 
 def logsumexp_W(beta: float, m: int) -> float:
     """Oracle: log W(beta, m) as a log-sum-exp over partitions."""
-    logs = [-beta * log_f(lam) for lam in enumerate_partitions(m)]
+    logs = [-beta * v for v in log_fs(m)]
     top = max(logs)
     return top + math.log(math.fsum(math.exp(v - top) for v in logs))
 
@@ -186,8 +206,8 @@ class TestWDirect:
             assert W_direct(2.0, m) == pytest.approx(float(W_direct(2, m)), rel=1e-12)
 
     def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            W_direct(1, 61)
+        with pytest.raises(ResourceLimitError):  # the series kernel's cap
+            W_direct(0.5, series.SERIES_MAX_M + 1)
         for beta, m in ((1e300, 40), (10**6, 40), (Fraction(81), 40), (801.0, 4)):
             with pytest.raises(ResourceLimitError):  # beta * m > 3200
                 W_direct(beta, m)
@@ -198,37 +218,15 @@ class TestWDirect:
             for m in range(31):
                 assert W_direct(beta, m) == fraction_W(beta, m)
 
-    def test_float_bit_identical_to_fsum_oracle(self):
+    def test_float_matches_fsum_oracle(self):
         for beta in (0.3, 0.5, 1.5, 2.75):
-            for m in range(31):
-                assert W_direct(beta, m) == fsum_W(beta, m)
+            assert_close([W_direct(beta, m) for m in range(31)],
+                         [fsum_W(beta, m) for m in range(31)])
 
-    def test_log_bit_identical_to_logsumexp_oracle(self):
+    def test_log_matches_logsumexp_oracle(self):
         for beta in (0.5, 1.5, 3.2):
-            for m in range(31):
-                assert log_W_direct(beta, m) == logsumexp_W(beta, m)
-
-    def test_log_f_array_is_the_oracle_in_enumeration_order(self):
-        """The cached array itself, not an order-free sum of it: every bit,
-        in ``iter_counts`` order."""
-        def oracle_bits(m, step):
-            return np.array([log_f(Partition.trusted(counts, m))
-                             for counts, _ in islice(iter_counts(m), 0, None, step)]).view(np.uint64)
-        for m in range(31):
-            assert np.array_equal(series._log_f(m).view(np.uint64), oracle_bits(m, 1))
-        for m in (45, 60):
-            assert np.array_equal(series._log_f(m)[::97].view(np.uint64), oracle_bits(m, 97))
-
-    def test_log_f_traced_peak_at_cap(self):
-        # bound fixed before measuring: the largest-part recursion traced
-        # 21.1 MiB at m = 60 for a 7.4 MiB result
-        tracemalloc.start()
-        try:
-            series._log_f.__wrapped__(series.DIRECT_MAX_M)  # cold: past the cache
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 32 * 2**20
+            assert_close([log_W_direct(beta, m) for m in range(31)],
+                         [logsumexp_W(beta, m) for m in range(31)])
 
     def test_rejects_negative_m(self):
         for call in (lambda: W_direct(0.5, -1), lambda: W_direct(1, -1),
@@ -259,13 +257,19 @@ class TestWDirect:
                          lambda: W_direct(-3.2, 60),    # every term finite, the sum is not
                          lambda: W_direct(-1e308, 5),   # -beta log f is +inf
                          lambda: log_W_direct(1e308, 5),
-                         lambda: log_W_direct(-1e308, 5)):
+                         lambda: log_W_direct(-1e308, 5),
+                         lambda: log_W_direct(1e307, 30)):  # W underflows to 0
                 with pytest.raises(NumericRangeError):
                     call()
-            # finite results as before: a negative beta, and terms that underflow
-            assert W_direct(-1.0, 12) == fsum_W(-1.0, 12)
+            # a negative beta has a finite result
+            assert_close(W_direct(-1.0, 12), fsum_W(-1.0, 12))
             assert isinstance(W_direct(-1.0, 12), float)
-            assert log_W_direct(1e307, 30) == logsumexp_W(1e307, 30)  # some -beta log f are -inf
+
+    def test_log_below_normal_range_is_numeric_range(self):
+        # W(200.5, 30) ~ e^-821 is below float64's normal range: no log of a subnormal
+        assert logsumexp_W(200.5, 30) < math.log(sys.float_info.min)
+        with pytest.raises(NumericRangeError):
+            log_W_direct(200.5, 30)
 
     def test_type_follows_value(self):
         for m in (0, 5, 12):
@@ -280,6 +284,22 @@ class TestWDirect:
         assert W_series_coeffs(2.0, 12).exact
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, Fraction(10**400, 3)],
+                         ids=["nan", "inf", "-inf", "past-float64"])
+@pytest.mark.parametrize("call", [
+    lambda b: W_series_coeffs(b, 5),
+    lambda b: W_coefficient(b, 5),
+    lambda b: W_at_one(b),
+    lambda b: asymptotic_diagnostic(b, [10]),
+    lambda b: W_direct(b, 5),
+    lambda b: log_W_direct(b, 5),
+], ids=["W_series_coeffs", "W_coefficient", "W_at_one", "asymptotic_diagnostic",
+        "W_direct", "log_W_direct"])
+def test_beta_not_finite_in_float64_is_value_error(call, beta):
+    with pytest.raises(ValueError, match="beta must be finite"):
+        call(beta)
+
+
 class TestWOneClosed:
     def test_small(self):
         assert W_one_closed(1) == Fraction(1, 2)
@@ -287,7 +307,7 @@ class TestWOneClosed:
 
     def test_matches_direct(self):
         for m in (1, 5, 12):
-            assert W_one_closed(m) == W_direct(1, m)
+            assert W_one_closed(m) == integer_W(1, m)
 
     def test_log_path_accuracy(self):
         for m in (5, 50, 500, 2000, 2001, 5000):
@@ -317,13 +337,13 @@ class TestSeriesCoeffs:
             ts = W_series_coeffs(beta, 20)
             assert ts.exact
             for m in range(21):
-                assert ts.coefficient(m) == W_direct(beta, m)
+                assert ts.coefficient(m) == integer_W(beta, m)
 
     def test_float_matches_direct(self):
         for beta in (0.5, 1.5):
             ts = W_series_coeffs(beta, 25)
             for m in range(26):
-                d = W_direct(beta, m)
+                d = fsum_W(beta, m)
                 assert ts.coefficient(m) == pytest.approx(d, rel=1e-9)
 
     def test_exact_beta_one_matches_closed_form_to_200(self):
@@ -577,6 +597,18 @@ class TestLeftTailBound:
             left_tail_bound(10, 1.0, [])
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tail", [lambda c: left_tail_bound(100, c),
+                                  lambda c: right_tail_bound(100, c, 0.5)],
+                         ids=["left", "right"])
+def test_tail_bounds_refuse_non_finite_c(tail, c, monkeypatch):
+    def no_kernel(betas, M):
+        raise AssertionError("kernel ran")
+    monkeypatch.setattr(series, "_float_product", no_kernel)
+    with pytest.raises(ValueError, match="c must be finite"):
+        tail(c)
+
+
 class TestRightTailBound:
     def test_beta_to_one_limit(self):
         res = right_tail_bound(50, 3.0, 0.999999)
@@ -610,9 +642,9 @@ class TestJensen:
     def test_hand_case(self):
         res = jensen_check(1.0, 0.0, 0.5, 10)
         assert res.ok
-        w1 = float(W_direct(1, 10))
-        w0 = float(W_direct(0, 10))
-        w2 = float(W_direct(2, 10))
+        w1 = float(integer_W(1, 10))
+        w0 = float(integer_W(0, 10))
+        w2 = float(integer_W(2, 10))
         assert res.lhs == pytest.approx(w1, rel=1e-9)
         assert res.rhs == pytest.approx(math.sqrt(w0 * w2), rel=1e-9)
 
@@ -635,12 +667,12 @@ class TestJensen:
             with pytest.raises(ValueError):
                 jensen_check(1.0, 0.0, gamma, 5)
 
-    def test_m_above_direct_cap_runs_no_enumeration(self, monkeypatch):
-        def no_enumeration(m):
-            raise AssertionError("enumeration ran")
-        monkeypatch.setattr(series, "_log_f", no_enumeration)
+    def test_m_above_series_cap_refused_before_allocating(self, monkeypatch):
+        def no_buffers(shape):
+            raise AssertionError("kernel allocated")
+        monkeypatch.setattr(series, "_aligned_zeros", no_buffers)
         with pytest.raises(ResourceLimitError):
-            jensen_check(0.5, 1.5, 0.5, series.DIRECT_MAX_M + 1)
+            jensen_check(0.5, 1.5, 0.5, series.SERIES_MAX_M + 1)
 
 
 class TestAsymptoticDiagnostic:
