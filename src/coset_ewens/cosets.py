@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .partitions import Partition
-from .perm import Permutation, compose
+from .perm import Permutation, compose, parse_permutation
 
 INTERSECTION_MAX_M = 5
 #: verify adds an orbits block up to this m.  Cost does not set it (the
@@ -42,7 +42,7 @@ def _check_degree(g: Permutation, m: int) -> None:
         raise ValueError(f"degree mismatch: permutation has degree {g.n}, expected {2 * m}")
 
 
-# bench/tracer.py wraps this name by getattr: keep it until the tracer changes (ROADMAP 1(b))
+# bench/tracer.py wraps this name by getattr: keep it until the tracer changes (ROADMAP 2(c))
 def is_in_H(g: Permutation, m: int) -> bool:
     """Membership in H, tested as g mapping every block {2k-1, 2k} onto
     some block.  The test suite checks it against the centralizer form,
@@ -123,20 +123,12 @@ def partition_of(g: Permutation, m: int) -> Partition:
 
 
 def canonical_rep(lam: Partition, m: int) -> Permutation:
-    """Even-support representative of the class ``lam``: parts placed in
-    descending order on consecutive blocks, part k as the ascending even
-    cycle (2j 2j+2 ... 2j+2k-2)."""
+    """Even-support representative of the class ``lam``, the permutation of
+    :func:`canonical_cycles`: parts in descending order on consecutive
+    blocks, part k as the ascending even cycle (2j 2j+2 ... 2j+2k-2)."""
     if lam.m != m:
         raise ValueError(f"partition has weight {lam.m}, expected {m}")
-    images = list(range(2 * m))
-    s = 1  # 0-indexed even symbol 2j of the part's first block j
-    for part, r in reversed(lam.counts):
-        for _ in range(r):
-            end = s + 2 * part
-            images[s:end - 2:2] = range(s + 2, end, 2)
-            images[end - 2] = s
-            s = end
-    return Permutation(tuple(images))
+    return parse_permutation(canonical_cycles(lam.counts, m), 2 * m)
 
 
 @lru_cache(maxsize=8)
@@ -145,8 +137,9 @@ def _even_symbols(m: int) -> tuple[str, ...]:
 
 
 def canonical_cycles(counts: tuple[tuple[int, int], ...], m: int) -> str:
-    """``cycle_string(canonical_rep(lam, m))`` from ``lam.counts`` alone: each
-    part k >= 2, in descending order, is a cycle of the next k even symbols."""
+    """The one placement of the parts, as the cycle text of :func:`canonical_rep`
+    from ``lam.counts``: each part k >= 2, in descending order, is a cycle
+    of the next k even symbols."""
     evens, text, j = _even_symbols(m), "", 0
     for part, r in reversed(counts):
         if part == 1:  # fixed points, and the last parts
@@ -190,7 +183,7 @@ def _intersection_rows(g: Permutation, m: int) -> np.ndarray:
     return H[(block[H[:, img[0::2]]] == block[H[:, img[1::2]]]).all(axis=1)]
 
 
-# bench/tracer.py wraps this name by getattr: keep it until the tracer changes (ROADMAP 1(b))
+# bench/tracer.py wraps this name by getattr: keep it until the tracer changes (ROADMAP 2(c))
 def intersection_subgroup(g: Permutation, m: int) -> list[Permutation]:
     """Brute-force element list of H intersect gHg^{-1} (m <= 5), sorted by
     images (:func:`_intersection_rows`)."""

@@ -12,9 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import rng, series
+from . import rng
 from .cosets import predicted_intersection_order
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _finite
 from .partitions import Partition
 
 #: work budget of good_probability_exact: m^2, a bound on the (part size,
@@ -45,6 +45,8 @@ def esf_density(lam: Partition, theta) -> Fraction:
     With theta = p/q this is one Fraction of two integer products:
     m! q^m prod p^{r_i} over prod_{j<m} (p + jq) * prod (qi)^{r_i} r_i!.
     """
+    if isinstance(theta, float):  # an int or Fraction is exact at any size
+        _finite(theta, "theta")
     th, m = Fraction(theta), lam.m
     if th <= 0:
         raise ValueError("theta must be > 0")
@@ -128,7 +130,7 @@ def _least_f_bound(k: int, r: int, t: int) -> int:
 def good_probability_exact(m: int, c) -> Fraction:
     """P(f <= m^c) under the double-coset measure, as an exact rational.
 
-    P(lam) = K_m / f(lam) with K_m = 4^m m!^2 / (2m)! = 1 / W(1, m), so the tail is
+    P(lam) = K_m / f(lam) with K_m = 4^m m!^2 / (2m)! = (2^m m!)^2 / (2m)!, so the tail is
     K_m * sum N_m(f)/f over f <= T, where T is the largest integer with
     T <= m^c and N_m(f) counts the partitions of m with that f.  f is a
     product over part sizes i of (2i)^r r! (r the multiplicity), every
@@ -145,8 +147,7 @@ def good_probability_exact(m: int, c) -> Fraction:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not math.isfinite(c):
-        raise ValueError(f"c must be finite, got {c}")
+    _finite(c, "c")
     work = m * m
     if work > EXACT_TAIL_WORK:
         raise ResourceLimitError(
@@ -204,8 +205,8 @@ def good_probability_exact(m: int, c) -> Fraction:
                     f"budget {EXACT_TAIL_WORK}"
                 )
     # every f divides 2^m m! (the quotient is 2^(m - parts) times the size
-    # of a conjugacy class of S_m), so sum n/f is an integer over top
-    return Fraction(sum(n * (top // f) for f, n in counts[m].items()), top) / series.W_one_closed(m)
+    # of a conjugacy class of S_m), so K_m sum n/f = top sum n (top // f) / (2m)!
+    return Fraction(top * sum(n * (top // f) for f, n in counts[m].items()), math.factorial(2 * m))
 
 
 # --- sampling -----------------------------------------------------------
@@ -300,8 +301,9 @@ def sample_partition(m: int, theta: float, seed: int) -> Partition:
         raise ValueError("m must be >= 1")
     if m > SAMPLE_MAX_M:
         raise ResourceLimitError(f"sample_partition limited to m <= {SAMPLE_MAX_M}")
-    if not (math.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be finite and > 0, got {theta}")
+    theta = _finite(theta, "theta")
+    if theta <= 0:
+        raise ValueError(f"theta must be > 0, got {theta}")
     rng.check_seed(seed)
     _, sizes = _sample_parts_chunk(m, theta, seed, 0, 1)
     size, r = np.unique(sizes, return_counts=True)
@@ -386,8 +388,7 @@ def good_probability_mc(m: int, c: float, samples: int, seed: int) -> SampleRepo
         raise ResourceLimitError(f"good_probability_mc limited to m <= {SAMPLE_MAX_M}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not math.isfinite(c):
-        raise ValueError(f"c must be finite, got {c}")
+    _finite(c, "c")
     rng.check_seed(seed)  # before the chunks allocate anything
     band: dict[tuple[tuple[int, int], ...], bool] = {}
     hits = sum(_chunk_hits(m, c, seed, i, min(_CHUNK, samples - i * _CHUNK), band)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericRangeError, ResourceLimitError
+from .errors import NumericRangeError, ResourceLimitError, _finite
 
 SERIES_EXACT_MAX_M = 200
 # exact integers grow like beta * M * log2(2M) bits; beta = 16 at M = 200
@@ -36,18 +36,6 @@ def _is_whole(beta) -> bool:
     if isinstance(beta, float):
         return beta >= 0 and beta.is_integer()
     return isinstance(beta, (int, Fraction)) and beta >= 0 and beta == int(beta)
-
-
-def _beta_float(beta) -> float:
-    """float(beta) for a finite beta; a non-finite beta, or one past
-    float64 like Fraction(10^400, 3), is a ValueError naming it."""
-    try:
-        b = float(beta)
-    except OverflowError:
-        b = math.inf
-    if not math.isfinite(b):
-        raise ValueError(f"beta must be finite, got {beta}")
-    return b
 
 
 # bench/jobs.py calls this name: keep it until the job list changes (ROADMAP 2(g))
@@ -110,7 +98,7 @@ def W_series_coeffs(beta, M: int) -> TruncatedSeries:
     M <= 200; otherwise float64, for M <= 20000.  A non-finite beta, or
     one past float64, is a ValueError.
     """
-    b = _beta_float(beta)
+    b = _finite(beta, "beta")
     if M < 0:
         raise ValueError("M must be nonnegative")
     if _is_whole(beta) and M <= SERIES_EXACT_MAX_M:
@@ -200,7 +188,7 @@ def _float_product(betas: Sequence[float], M: int) -> np.ndarray:
 # bench/tracer.py wraps this name by getattr: keep it until the tracer changes (ROADMAP 2(c))
 def W_coefficient(beta: float, m: int) -> float:
     """Float W(beta, m) through the series product (degree-exact)."""
-    b = _beta_float(beta)
+    b = _finite(beta, "beta")
     if m < 0:
         raise ValueError("m must be nonnegative")
     return float(_float_product((b,), m)[m, 0])
@@ -246,7 +234,7 @@ def W_at_one(beta: float) -> WAtOneResult:
     N < 9e4 for every beta > 1.  Near beta = 1 the value leaves float64:
     NumericRangeError.
     """
-    beta = _beta_float(beta)
+    beta = _finite(beta, "beta")
     if beta <= 1.0:
         raise ValueError("W_at_one requires beta > 1 (the product diverges at 1)")
     a = 2.0 ** -beta
@@ -296,8 +284,7 @@ def _tail_bound(m: int, c: float, name: str, params: Sequence[float],
     kernel call per block of distinct ascending betas."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not math.isfinite(c):
-        raise ValueError(f"c must be finite, got {c}")
+    _finite(c, "c")
     if len(params) > TAIL_GRID_MAX_POINTS:
         raise ResourceLimitError(f"tail grids limited to {TAIL_GRID_MAX_POINTS} points")
     log_m = math.log(m)
@@ -331,8 +318,8 @@ def left_tail_bound(m: int, c: float, alpha_grid: Sequence[float] | None = None)
     alphas = tuple(alpha_grid) if alpha_grid is not None else default_alpha_grid()
     if not alphas:
         raise ValueError("alpha grid must be nonempty")
-    if not all(0 < a < math.inf for a in alphas):
-        raise ValueError("alpha grid entries must be finite and > 0")
+    if any(_finite(a, "alpha") <= 0 for a in alphas):
+        raise ValueError("alpha grid entries must be > 0")
     return _tail_bound(m, c, "alpha", alphas, alphas, [a + 1.0 for a in alphas])
 
 
@@ -340,7 +327,7 @@ def right_tail_bound(m: int, c: float, beta) -> TailBoundResult:
     """Markov bound on P(f > m^c): m^{-c(1-beta)} W(1,m)^{-1} W(beta, m)
     for 0 < beta < 1; a scalar or a grid of betas may be supplied."""
     betas = (beta,) if isinstance(beta, (int, float)) else beta
-    betas = tuple(map(_beta_float, betas))
+    betas = tuple(_finite(b, "beta") for b in betas)
     if not betas:
         raise ValueError("beta grid must be nonempty")
     if any(not 0.0 < b < 1.0 for b in betas):
@@ -352,7 +339,7 @@ def default_right_beta(m: int, t: float = 1.0) -> float:
     """beta = 1 - t/(log m)^2, the scaling used for the right tail."""
     if m < 3:
         raise ValueError("m must be >= 3 for the default beta")
-    b = 1.0 - t / math.log(m) ** 2
+    b = 1.0 - _finite(t, "t") / math.log(m) ** 2
     if not 0.0 < b < 1.0:
         raise ValueError(f"t={t} gives beta={b} outside (0, 1) at m={m}")
     return b
@@ -382,6 +369,7 @@ def jensen_check(alpha: float, beta: float, gamma: float, m: int) -> JensenResul
     relative slack of 1e-12 for rounding."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie strictly inside (0, 1)")
+    _finite(alpha, "alpha"), _finite(beta, "beta")
     lhs = log_W_direct(alpha + beta, m)
     rhs = ((1.0 - gamma) * log_W_direct(float(beta), m)
            + gamma * log_W_direct(alpha / gamma + beta, m))
@@ -400,7 +388,7 @@ class AsymptoticRow:
 def asymptotic_diagnostic(beta: float, m_list: Sequence[int]) -> list[AsymptoticRow]:
     """Convergence table for m^beta W(beta, m) -> W_at_one(beta)/2^beta
     (beta > 1); deviations shrink as m grows."""
-    beta = _beta_float(beta)
+    beta = _finite(beta, "beta")
     if beta <= 1.0:
         raise ValueError("asymptotic_diagnostic requires beta > 1")
     if not m_list:

@@ -433,6 +433,16 @@ class TestPartitionOf:
             assert partition_of(compose(compose(h1, g), h2), m) == partition_of(g, m)
 
 
+def canonical_cycle_oracle(lam):
+    """Part k on blocks j..j+k-1 as the even cycle (2j 2j+2 ... 2j+2k-2),
+    the parts in descending order from block 1, as 1-indexed tuples."""
+    cycles, j = [], 1
+    for part in parts_desc(lam):
+        cycles.append(tuple(2 * (j + t) for t in range(part)))
+        j += part
+    return cycles
+
+
 class TestCanonicalRep:
     def test_all_ones(self):
         assert canonical_rep(Partition.parse("1^4"), 4) == identity(8)
@@ -455,23 +465,21 @@ class TestCanonicalRep:
             canonical_rep(Partition.parse("2^1"), 3)
 
     def test_equals_cycle_construction(self):
-        # oracle: part k on blocks j..j+k-1 as the even cycle (2j 2j+2 ... 2j+2k-2)
         for m in range(1, 11):
             for lam in enumerate_partitions(m):
-                cycles, j = [], 1
-                for part in parts_desc(lam):
-                    cycles.append(tuple(2 * (j + t) for t in range(part)))
-                    j += part
-                assert canonical_rep(lam, m) == from_cycles(2 * m, cycles)
+                assert canonical_rep(lam, m) == from_cycles(2 * m, canonical_cycle_oracle(lam))
 
 
 class TestCanonicalCycles:
-    """The text built from the parts alone against the walked representative."""
+    """The text built from the parts alone against the cycle-construction
+    oracle, written out as cycle text: the nontrivial cycles, each in
+    parentheses, or "()"."""
 
     @staticmethod
     def check(counts, m):
-        oracle = cycle_string(canonical_rep(Partition(counts, m), m))
-        assert canonical_cycles(counts, m) == oracle, (counts, m)
+        cycles = canonical_cycle_oracle(Partition(counts, m))
+        oracle = "".join("(" + " ".join(map(str, c)) + ")" for c in cycles if len(c) > 1)
+        assert canonical_cycles(counts, m) == (oracle or "()"), (counts, m)
 
     def test_every_partition_m_le_25(self):
         for m in range(26):
