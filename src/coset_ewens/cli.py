@@ -24,8 +24,7 @@ from . import rng, series as series_mod
 from .cosets import (
     INTERSECTION_MAX_M,
     ORBIT_SWEEP_MAX_M,
-    CosetClass,
-    canonical_cycles,
+    _class_rows,
     canonical_rep,
     coset_class,
     double_coset_size,
@@ -38,7 +37,7 @@ from .cosets import (
 )
 from .errors import NumericRangeError, ResourceLimitError
 from .ewens import good_probability_mc
-from .partitions import Partition, enumerate_partitions, iter_counts
+from .partitions import enumerate_partitions
 from .perm import cycle_string, parse_permutation
 
 EXIT_OK = 0
@@ -47,12 +46,11 @@ EXIT_VERIFY_FAILED = 3
 EXIT_RESOURCE = 4
 EXIT_NUMERIC_RANGE = 5
 
-# table and double-cosets stream their rows at a flat 31 MiB max RSS, so time sets
-# the cap: double-cosets takes 24 s at m = 59, 36 s at 62, 60 s at 65, 104 s at 70
-# and 137 s at 71 (2-core Xeon, Python 3.11)
+# table and double-cosets stream their rows at a flat 32 MiB max RSS, so time sets the cap:
+# double-cosets takes 8 s at m = 59, 13 s at 62, 18 s at 65, 40 s at 70 (2-core Xeon, Py 3.11)
 CLASS_TABLE_MAX_M = 70
 # rows per json.dumps call as they stream: the 14 883 rows of double-cosets 35
-# take 103 ms at one call a row, 58 ms as one list and 54 ms at 512 a call
+# take 88 ms at one call a row, 43 ms as one list and 33 ms at 512 a call
 ROW_BATCH = 512
 # the exact coset size's digits make classify about quadratic in m
 CLASSIFY_MAX_M = 20_000
@@ -133,46 +131,44 @@ def cmd_verify(args) -> dict:
     return payload
 
 
-def _check_class_table_m(m: int) -> None:
+def _class_table(m: int) -> tuple[int, Iterator[tuple[int, str, str]]]:
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > CLASS_TABLE_MAX_M:
         raise ResourceLimitError(f"table and double-cosets limited to m <= {CLASS_TABLE_MAX_M}")
+    return (2**m * math.factorial(m)) ** 2, _class_rows(m)
 
 
 def cmd_double_cosets(args) -> dict:
-    m = args.m
-    _check_class_table_m(m)
-    h_order = 2**m * math.factorial(m)
-    classes = (CosetClass(Partition.trusted(counts, m), f, h_order * h_order // f,
-                          canonical_cycles(counts, m)).to_json_dict()
-               for counts, f in iter_counts(m))
-    return {"m": m, "classes": classes}
+    h2, rows = _class_table(args.m)
+    classes = ({"lambda": lam, "predicted_order": str(f), "coset_size": str(h2 // f),
+                "canonical": cycles} for f, lam, cycles in rows)
+    return {"m": args.m, "classes": classes}
 
 
 def cmd_table(args) -> dict:
-    m = args.m
-    _check_class_table_m(m)
-    h_order = 2**m * math.factorial(m)
-    fact_2m = math.factorial(2 * m)
+    h2, class_rows = _class_table(args.m)
+    fact_2m = math.factorial(2 * args.m)
+    a, b = Fraction(h2, fact_2m).as_integer_ratio()  # P = a/(b f), lowest over gcd(a, f)
     mass = 0  # sum of |HxH| over the rows written, so that the total is one Fraction
 
     def rows():
         nonlocal mass
-        for counts, f in iter_counts(m):
-            size = h_order * h_order // f
-            prob = Fraction(size, fact_2m)
+        for f, lam, _ in class_rows:
+            size = h2 // f
             mass += size
+            g = math.gcd(a, f)
+            num, den = a // g, b * (f // g)
             yield {
-                "lambda": str(Partition.trusted(counts, m)),
+                "lambda": lam,
                 "predicted_order": str(f),
                 "coset_size": str(size),
-                "probability": _fmt_fraction(prob),
-                "probability_float": float(prob),
+                "probability": f"{num}/{den}",
+                "probability_float": num / den,  # the rounding of float(Fraction)
             }
 
     # "total" follows "rows": the writer calls it after the last row
-    return {"m": m, "rows": rows(), "total": lambda: _fmt_fraction(Fraction(mass, fact_2m))}
+    return {"m": args.m, "rows": rows(), "total": lambda: _fmt_fraction(Fraction(mass, fact_2m))}
 
 
 def cmd_sample(args) -> dict:

@@ -16,14 +16,15 @@ graph as an independent oracle for the classifier.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .partitions import Partition
+from .partitions import Partition, _zs1
 from .perm import Permutation, compose, parse_permutation
 
 INTERSECTION_MAX_M = 5
@@ -136,18 +137,36 @@ def _even_symbols(m: int) -> tuple[str, ...]:
     return tuple(str(s) for s in range(2, 2 * m + 1, 2))
 
 
+def _cycle_text(evens: tuple[str, ...], part: int, r: int, j: int) -> str:
+    """The one placement: r parts of size ``part`` from even-symbol index j are
+    r cycles of the next ``part`` even symbols each; a part 1 has no text."""
+    cycles = ("(" + " ".join(evens[i:i + part]) + ")" for i in range(j, j + part * r, part))
+    return "".join(cycles) if part > 1 else ""
+
+
 def canonical_cycles(counts: tuple[tuple[int, int], ...], m: int) -> str:
-    """The one placement of the parts, as the cycle text of :func:`canonical_rep`
-    from ``lam.counts``: each part k >= 2, in descending order, is a cycle
-    of the next k even symbols."""
+    """The cycle text of :func:`canonical_rep` from ``lam.counts``: the parts
+    in descending order, placed by :func:`_cycle_text` on consecutive blocks."""
     evens, text, j = _even_symbols(m), "", 0
     for part, r in reversed(counts):
-        if part == 1:  # fixed points, and the last parts
-            break
-        for _ in range(r):
-            text += "(" + " ".join(evens[j:j + part]) + ")"
-            j += part
+        text += _cycle_text(evens, part, r, j)
+        j += part * r
     return text or "()"
+
+
+def _class_rows(m: int) -> Iterator[tuple[int, str, str]]:
+    """``(f, str(lam), canonical_cycles(lam.counts, m))`` per class lam of m, in the
+    order of :func:`iter_counts`, as prefixes over the ZS1 stack: a push of r parts
+    p prepends "p^r " to the lambda text and appends its cycles, from index w
+    (the weight below), to the cycle text, cached per (p, r, w) for the call."""
+    place = cache(partial(_cycle_text, _even_symbols(m)))
+
+    def push(top, p, r, x):
+        _, _, f, lam, cycles, w = top
+        return p, r, f * x, f"{p}^{r} " + lam, cycles + place(p, r, w), w + p * r
+
+    for _, _, f, lam, cycles, _ in _zs1(m, push, (0, 0, 1, "", "", 0)):
+        yield f, lam[:-1], cycles or "()"
 
 
 def predicted_intersection_order(lam: Partition) -> int:

@@ -45,7 +45,7 @@ def esf_density(lam: Partition, theta) -> Fraction:
     With theta = p/q this is one Fraction of two integer products:
     m! q^m prod p^{r_i} over prod_{j<m} (p + jq) * prod (qi)^{r_i} r_i!.
     """
-    if isinstance(theta, float):  # an int or Fraction is exact at any size
+    if not isinstance(theta, (int, Fraction)):  # an int or Fraction is exact at any size
         _finite(theta, "theta")
     th, m = Fraction(theta), lam.m
     if th <= 0:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import ResourceLimitError
 
@@ -81,46 +81,47 @@ class Partition:
         return " ".join(f"{p}^{r}" for p, r in self.counts)
 
 
-def iter_counts(m: int) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
-    """Yield ``(counts, f)`` for every partition of ``m``, ``counts`` as in
-    :class:`Partition` and f = prod (2i)^{r_i} r_i!, in reverse-lexicographic
-    order on descending part lists ({m} first, {1^m} last).
+def _zs1(m: int, push: Callable, base: tuple) -> Iterator[tuple]:
+    """ZS1 (Zoghbi & Stojmenovic, IJCM 70, 1998): every partition of ``m`` in
+    reverse-lexicographic order on descending part lists ({m} first, {1^m} last).
 
-    ZS1 (Zoghbi & Stojmenovic, IJCM 70, 1998) on a stack of (part,
-    multiplicity) pairs, parts descending: drop the 1s, take one copy of the
-    smallest part p, refill with parts p - 1 and a remainder.  f is carried
-    as prefix products over the stack: O(1) work per step, amortised.
-    """
+    Yields the top of a stack of frames: ``base``, then one per part size,
+    descending, ``push(frame below, part, mult, (2 part)^mult mult!)`` starting
+    (part, mult).  A step drops the 1s, takes one copy of the smallest part p and
+    refills with parts p - 1 and a remainder; only the top changes, so a prefix
+    that ``push`` carries costs O(1) work per partition, amortised."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > ENUMERATION_MAX_M:
         raise ResourceLimitError(
             f"partition enumeration limited to m <= {ENUMERATION_MAX_M} (p({m}) is too "
             "large to list); use partition_count or the series coefficients instead")
-    # fac[p, r] = (2p)^r r!, the factor of r parts of size p
     fac = {(p, r): math.prod(range(2 * p, 2 * p * r + 1, 2 * p))
            for p in range(1, m + 1) for r in range(1, m // p + 1)}
-    stack, pref = ([(m, 1)], [1, 2 * m]) if m else ([], [1])  # pref[k]: f of stack[:k]
+    stack = [base, push(base, m, 1, 2 * m)] if m else [base]
     while True:
-        yield tuple(stack[::-1]), pref[-1]
-        if not stack or stack[0][0] == 1:  # m = 0, or {1^m}: the last partition
+        yield stack[-1]
+        if len(stack) == 1 or stack[1][0] == 1:  # m = 0, or {1^m}: the last partition
             return
-        p, r = stack.pop()
-        pref.pop()
+        p, r = stack.pop()[:2]
         rem = 0
         if p == 1:
             rem = r
-            p, r = stack.pop()
-            pref.pop()
+            p, r = stack.pop()[:2]
         if r > 1:
-            stack.append((p, r - 1))
-            pref.append(pref[-1] * fac[p, r - 1])
+            stack.append(push(stack[-1], p, r - 1, fac[p, r - 1]))
         k, rem = divmod(rem + p, p - 1)
-        stack.append((p - 1, k))
-        pref.append(pref[-1] * fac[p - 1, k])
+        stack.append(push(stack[-1], p - 1, k, fac[p - 1, k]))
         if rem:
-            stack.append((rem, 1))
-            pref.append(pref[-1] * 2 * rem)
+            stack.append(push(stack[-1], rem, 1, 2 * rem))
+
+
+def iter_counts(m: int) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+    """Yield ``(counts, f)`` for every partition of ``m`` in the order of :func:`_zs1`,
+    ``counts`` as in :class:`Partition` and f = prod (2i)^{r_i} r_i!, as prefixes."""
+    for _, _, f, counts in _zs1(m, lambda top, p, r, x: (p, r, top[2] * x, ((p, r),) + top[3]),
+                                (0, 0, 1, ())):
+        yield counts, f
 
 
 def iter_partitions(m: int) -> Iterator[Partition]:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Sequence
 
 import numpy as np
 
@@ -325,9 +325,8 @@ def left_tail_bound(m: int, c: float, alpha_grid: Sequence[float] | None = None)
 
 def right_tail_bound(m: int, c: float, beta) -> TailBoundResult:
     """Markov bound on P(f > m^c): m^{-c(1-beta)} W(1,m)^{-1} W(beta, m)
-    for 0 < beta < 1; a scalar or a grid of betas may be supplied."""
-    betas = (beta,) if isinstance(beta, (int, float)) else beta
-    betas = tuple(_finite(b, "beta") for b in betas)
+    for 0 < beta < 1; a scalar (any real) or a grid of betas may be supplied."""
+    betas = tuple(_finite(b, "beta") for b in (beta if isinstance(beta, Iterable) else (beta,)))
     if not betas:
         raise ValueError("beta grid must be nonempty")
     if any(not 0.0 < b < 1.0 for b in betas):

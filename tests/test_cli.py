@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 
 from coset_ewens import cli, cosets, perm, series
 from coset_ewens.cli import main
-from coset_ewens.cosets import CosetClass, canonical_cycles, partition_of
-from coset_ewens.partitions import Partition, iter_counts
+from coset_ewens.cosets import canonical_cycles, canonical_rep, partition_of
+from coset_ewens.partitions import enumerate_partitions
 from coset_ewens.perm import Permutation
 
 
@@ -38,15 +39,42 @@ def fail(*args, **kwargs):
     raise AssertionError("ran past the cap")
 
 
+def partitions_desc(m, most=None):
+    """Every partition of ``m`` into parts ``<= most`` as a descending part
+    list, in reverse-lexicographic order ({m} first, {1^m} last): plain
+    recursion on the largest part, independent of the ZS1 enumerator."""
+    if m == 0:
+        yield []
+        return
+    for p in range(min(m, m if most is None else most), 0, -1):
+        for rest in partitions_desc(m - p, p):
+            yield [p, *rest]
+
+
+def oracle_classes(m):
+    """``(lambda text, f, canonical cycle text)`` of each class of ``m``, from
+    its part list alone: f = prod (2i)^{r_i} r_i!, and the parts in descending
+    order on consecutive blocks from block 1, part k on blocks j..j+k-1 as the
+    even cycle (2j 2j+2 ... 2j+2k-2), as in ``canonical_cycle_oracle``."""
+    for parts in partitions_desc(m):
+        mult = collections.Counter(parts)
+        lam = " ".join(f"{p}^{mult[p]}" for p in sorted(mult))
+        f = math.prod((2 * p) ** r * math.factorial(r) for p, r in mult.items())
+        cycles, j = "", 1
+        for p in parts:
+            if p > 1:
+                cycles += "(" + " ".join(str(2 * (j + t)) for t in range(p)) + ")"
+            j += p
+        yield lam, f, cycles or "()"
+
+
 def oracle_double_cosets(m):
     """The list-building payload of ``double-cosets m``: every row is held
     before anything is written, as the command did before it streamed."""
     h_order = 2**m * math.factorial(m)
-    classes = []
-    for counts, f in iter_counts(m):
-        record = CosetClass(Partition.trusted(counts, m), f, h_order * h_order // f,
-                            canonical_cycles(counts, m))
-        classes.append(record.to_json_dict())
+    classes = [{"lambda": lam, "predicted_order": str(f),
+                "coset_size": str(h_order * h_order // f), "canonical": cycles}
+               for lam, f, cycles in oracle_classes(m)]
     return {"m": m, "classes": classes}
 
 
@@ -56,12 +84,12 @@ def oracle_table(m):
     fact_2m = math.factorial(2 * m)
     rows = []
     mass = 0
-    for counts, f in iter_counts(m):
+    for lam, f, _ in oracle_classes(m):
         size = h_order * h_order // f
         prob = Fraction(size, fact_2m)
         mass += size
         rows.append({
-            "lambda": str(Partition.trusted(counts, m)),
+            "lambda": lam,
             "predicted_order": str(f),
             "coset_size": str(size),
             "probability": f"{prob.numerator}/{prob.denominator}",
@@ -191,6 +219,20 @@ class TestDoubleCosets:
         code, env = run_json(capsys, ["double-cosets", "12"])
         assert code == 0 and env["payload"] == expected
 
+    @pytest.mark.parametrize("m", range(15))
+    def test_one_placement(self, capsys, m):
+        # the rows carry their text on the enumeration stack; it must be the
+        # text of canonical_cycles, which canonical_rep parses back into lam
+        code, env = run_json(capsys, ["double-cosets", str(m)])
+        assert code == 0
+        lams = enumerate_partitions(m)
+        assert len(env["payload"]["classes"]) == len(lams)
+        for row, lam in zip(env["payload"]["classes"], lams):
+            assert row["lambda"] == str(lam)
+            assert row["canonical"] == canonical_cycles(lam.counts, m)
+            if m:  # partition_of needs a degree 2m >= 2
+                assert partition_of(canonical_rep(lam, m), m) == lam
+
     def test_resource_cap_exit_4(self, capsys):
         code, env = run_json(capsys, ["double-cosets", "95"])
         assert code == 4
@@ -220,7 +262,7 @@ class TestClassTableCaps:
                                                      command, m):
         # refused before the first byte: exactly one error envelope and no row,
         # on stdout, in place of the CSV header, and in the --out file alone
-        monkeypatch.setattr(cli, "iter_counts", fail)
+        monkeypatch.setattr(cli, "_class_rows", fail)
         path = tmp_path / "out.json"
         for flags in ([], ["--csv"], ["--out", str(path)]):
             start = time.perf_counter()
@@ -250,7 +292,8 @@ class TestStreamedClassTables:
         monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: 0.0))
 
     @pytest.mark.parametrize("command", ["table", "double-cosets"])
-    @pytest.mark.parametrize("m", [*range(21), 30])  # p(20) = 627 and p(30) = 5604 rows
+    # p(20) = 627, p(30) = 5604 and p(35) = 14 883 rows; 35 is the benchmark's size
+    @pytest.mark.parametrize("m", [*range(21), 30, 35])
     def test_bytes_equal_the_oracle(self, capsys, tmp_path, command, m):
         expected = oracle_json(command, m)
         assert run(capsys, [command, str(m)]) == (0, expected)
@@ -318,7 +361,7 @@ class TestUnopenableOut:
         assert path in env["error"]["message"]
 
     def test_refused_before_the_work(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(cli, "iter_counts", fail)
+        monkeypatch.setattr(cli, "_class_rows", fail)
         monkeypatch.setattr(cli, "good_probability_mc", fail)
         for argv in self.COMMANDS:
             code, env = run_json(capsys, [*argv, "--out", str(tmp_path / "missing" / "x.json")])

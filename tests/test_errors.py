@@ -3,6 +3,7 @@
 that names the parameter, never an OverflowError, and its message is built
 without printing the value."""
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -25,8 +26,10 @@ from coset_ewens.errors import _finite
 from coset_ewens.series import W_coefficient, default_right_beta, log_W_direct
 
 # Fraction(10**5000, 3) also has more digits than str() prints by default
-NOT_FINITE = [math.nan, math.inf, -math.inf, Fraction(10**400, 3), Fraction(10**5000, 3)]
-NOT_FINITE_IDS = ["nan", "inf", "-inf", "past-float64", "past-str-limit"]
+NOT_FINITE = [math.nan, math.inf, -math.inf, Fraction(10**400, 3), Fraction(10**5000, 3),
+              Decimal("Infinity"), Decimal("NaN")]
+NOT_FINITE_IDS = ["nan", "inf", "-inf", "past-float64", "past-str-limit",
+                  "decimal-inf", "decimal-nan"]
 
 # entry -> (the parameter's name, a call with x in its place)
 ENTRIES = {
@@ -59,14 +62,23 @@ def test_not_finite_is_value_error_naming_the_parameter(entry, x):
 
 @pytest.mark.parametrize("theta", NOT_FINITE, ids=NOT_FINITE_IDS)
 def test_esf_density_exact_theta_of_any_size(theta):
-    # exact arithmetic: only a float theta has to be finite
+    # exact arithmetic: only a theta that is not an int or Fraction has to be finite
     lam = Partition.parse("1^2 3^1")
-    if isinstance(theta, float):
+    if not isinstance(theta, Fraction):
         with pytest.raises(ValueError, match="^theta must be finite"):
             esf_density(lam, theta)
     else:
         p = esf_density(lam, theta)
         assert isinstance(p, Fraction) and 0 < p < 1
+
+
+def test_esf_density_finite_decimal_theta_is_exact():
+    lam = Partition.parse("1^2 3^1")
+    assert esf_density(lam, Decimal("0.1")) == esf_density(lam, Fraction(1, 10))
+
+
+def test_right_tail_bound_scalar_fraction_beta_is_a_one_point_grid():
+    assert right_tail_bound(10, 1.0, Fraction(1, 2)) == right_tail_bound(10, 1.0, [0.5])
 
 
 def test_finite_values_are_float_of_them():
