@@ -35,7 +35,7 @@ from .cosets import (
     predicted_intersection_order,
     wreath_model,
 )
-from .errors import NumericRangeError, ResourceLimitError
+from .errors import NumericRangeError, ResourceLimitError, _integer
 from .ewens import good_probability_mc
 from .partitions import enumerate_partitions
 from .perm import cycle_string, parse_permutation
@@ -78,8 +78,7 @@ def _finite_float(text: str) -> float:
 # --- command payloads ----------------------------------------------------
 
 def cmd_classify(args) -> dict:
-    m = args.m
-    if m > CLASSIFY_MAX_M:
+    if (m := _integer(args.m, "m", 1)) > CLASSIFY_MAX_M:
         raise ResourceLimitError(f"classify limited to m <= {CLASSIFY_MAX_M}")
     g = parse_permutation(args.perm, 2 * m)
     lam = partition_of(g, m)
@@ -90,8 +89,7 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    m = args.m
-    if m > INTERSECTION_MAX_M:
+    if (m := _integer(args.m, "m", 1)) > INTERSECTION_MAX_M:
         raise ValueError(f"verify is limited to m <= {INTERSECTION_MAX_M}")
     lams = enumerate_partitions(m)
     sizes = [double_coset_size(lam, m) for lam in lams]
@@ -132,9 +130,7 @@ def cmd_verify(args) -> dict:
 
 
 def _class_table(m: int) -> tuple[int, Iterator[tuple[int, str, str]]]:
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m > CLASS_TABLE_MAX_M:
+    if (m := _integer(m, "m", 0)) > CLASS_TABLE_MAX_M:
         raise ResourceLimitError(f"table and double-cosets limited to m <= {CLASS_TABLE_MAX_M}")
     return (2**m * math.factorial(m)) ** 2, _class_rows(m)
 

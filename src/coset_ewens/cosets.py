@@ -23,7 +23,7 @@ from functools import cache, lru_cache, partial
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _integer
 from .partitions import Partition, _zs1
 from .perm import Permutation, compose, parse_permutation
 
@@ -36,11 +36,16 @@ ORBIT_SWEEP_MAX_M = 4
 WREATH_MODEL_MAX_COST = 10**8
 
 
-def _check_degree(g: Permutation, m: int) -> None:
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if g.n != 2 * m:
+def _check_degree(g: Permutation, m: int) -> int:
+    if g.n != 2 * (m := _integer(m, "m", 1)):
         raise ValueError(f"degree mismatch: permutation has degree {g.n}, expected {2 * m}")
+    return m
+
+
+def _check_weight(lam: Partition, m: int) -> int:
+    if lam.m != (m := _integer(m, "m", 0)):
+        raise ValueError(f"partition has weight {lam.m}, expected {m}")
+    return m
 
 
 # bench/tracer.py wraps this name by getattr: keep it until the tracer changes (ROADMAP 2(c))
@@ -48,7 +53,7 @@ def is_in_H(g: Permutation, m: int) -> bool:
     """Membership in H, tested as g mapping every block {2k-1, 2k} onto
     some block.  The test suite checks it against the centralizer form,
     g h0 g^{-1} == h0 for the base involution h0."""
-    _check_degree(g, m)
+    m = _check_degree(g, m)
     for k in range(m):
         a, b = g.images[2 * k], g.images[2 * k + 1]
         if a // 2 != b // 2:
@@ -56,11 +61,10 @@ def is_in_H(g: Permutation, m: int) -> bool:
     return True
 
 
-def _check_m(m: int, cap: int, name: str) -> None:
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > cap:
+def _check_m(m: int, cap: int, name: str) -> int:
+    if (m := _integer(m, "m", 1)) > cap:
         raise ResourceLimitError(f"{name} limited to m <= {cap}")
+    return m
 
 
 def _lex_permutations(n: int) -> np.ndarray:
@@ -119,7 +123,7 @@ def _walk(img: tuple[int, ...], m: int) -> tuple[list[int], list[int]]:
 def partition_of(g: Permutation, m: int) -> Partition:
     """Class partition of HgH: a component of the block-matching graph
     with 2k edges contributes a part k (see :func:`_walk`)."""
-    _check_degree(g, m)
+    m = _check_degree(g, m)
     return Partition.from_parts(_walk(g.images, m)[1])
 
 
@@ -127,8 +131,7 @@ def canonical_rep(lam: Partition, m: int) -> Permutation:
     """Even-support representative of the class ``lam``, the permutation of
     :func:`canonical_cycles`: parts in descending order on consecutive
     blocks, part k as the ascending even cycle (2j 2j+2 ... 2j+2k-2)."""
-    if lam.m != m:
-        raise ValueError(f"partition has weight {lam.m}, expected {m}")
+    m = _check_weight(lam, m)
     return parse_permutation(canonical_cycles(lam.counts, m), 2 * m)
 
 
@@ -180,8 +183,7 @@ def predicted_intersection_order(lam: Partition) -> int:
 
 def double_coset_size(lam: Partition, m: int) -> int:
     """|HgH| = (2^m m!)^2 / predicted_intersection_order(lam), exactly."""
-    if lam.m != m:
-        raise ValueError(f"partition has weight {lam.m}, expected {m}")
+    m = _check_weight(lam, m)
     h_order = (2**m) * math.factorial(m)
     size, rem = divmod(h_order * h_order, predicted_intersection_order(lam))
     if rem:
@@ -195,7 +197,7 @@ def _intersection_rows(g: Permutation, m: int) -> np.ndarray:
     {g(2k-1), g(2k)}, so h in H is kept iff it maps each image block onto
     an image block."""
     _check_degree(g, m)
-    _check_m(m, INTERSECTION_MAX_M, "intersection_subgroup")
+    m = _check_m(m, INTERSECTION_MAX_M, "intersection_subgroup")
     img, block = np.array(g.images), np.argsort(g.images) // 2  # block[g(s)] = s // 2
     H = _H_array(m)
     # h sends the image pair (a, b) into one image block iff their blocks agree
@@ -321,7 +323,7 @@ def enumerate_double_cosets(m: int) -> list[OrbitClass]:
     :func:`_coset_type_lengths` and returned sorted by their partition's
     text form.
     """
-    _check_m(m, ORBIT_SWEEP_MAX_M, "enumerate_double_cosets")
+    m = _check_m(m, ORBIT_SWEEP_MAX_M, "enumerate_double_cosets")
     n = 2 * m  # n <= 14: symbols are base-16 digits, keys fit in int64
     M, H = _matchings(n), _H_array(m)
     weights = 16 ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -362,7 +364,7 @@ def reduce_to_even_support(g: Permutation, m: int) -> EvenSupportReduction:
     and on the even symbols it permutes the blocks with the cycle type
     of the class.  The certificate is verified before returning.
     """
-    _check_degree(g, m)
+    m = _check_degree(g, m)
     n = 2 * m
     img = g.images
     pick = _walk(img, m)[0]

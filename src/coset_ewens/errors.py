@@ -1,5 +1,7 @@
-"""Shared exception types, and the one check of a real parameter."""
+"""Shared exception types, the one check of a real parameter and the one
+of an integer parameter."""
 import math
+import operator
 
 
 class ResourceLimitError(Exception):
@@ -11,8 +13,9 @@ class NumericRangeError(ArithmeticError):
 
 
 def _finite(x, name: str) -> float:
-    """float(x); nan, +-inf, or an int or Fraction past float64 is a
-    ValueError naming the parameter, whose message never prints x.
+    """float(x); a value float() refuses (None, a list), nan, +-inf, or an int
+    or Fraction past float64 is a ValueError naming the parameter, whose
+    message never prints x.
 
     >>> _finite(3, "beta"), _finite(10**5000, "c")
     Traceback (most recent call last):
@@ -20,8 +23,22 @@ def _finite(x, name: str) -> float:
     """
     try:
         f = float(x)
+    except TypeError:
+        raise ValueError(f"{name} must be a real number, got {type(x).__name__}") from None
     except OverflowError:
         raise ValueError(f"{name} must be finite, got a number past float64") from None
     if not math.isfinite(f):
         raise ValueError(f"{name} must be finite, got {f}")
     return f
+
+
+def _integer(x, name: str, least: int) -> int:
+    """int(operator.index(x)); a value it refuses (2.0, "3", None), or one below
+    ``least``, is a ValueError that names the parameter and never prints x."""
+    try:
+        n = int(operator.index(x))
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {type(x).__name__}") from None
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}" if least else f"{name} must be nonnegative")
+    return n

@@ -13,8 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng
-from .cosets import predicted_intersection_order
-from .errors import ResourceLimitError, _finite
+from .cosets import _check_weight, predicted_intersection_order
+from .errors import ResourceLimitError, _finite, _integer
 from .partitions import Partition
 
 #: work budget of good_probability_exact: m^2, a bound on the (part size,
@@ -45,7 +45,9 @@ def esf_density(lam: Partition, theta) -> Fraction:
     With theta = p/q this is one Fraction of two integer products:
     m! q^m prod p^{r_i} over prod_{j<m} (p + jq) * prod (qi)^{r_i} r_i!.
     """
-    if not isinstance(theta, (int, Fraction)):  # an int or Fraction is exact at any size
+    if isinstance(theta, Decimal) and theta.is_finite():
+        theta = Fraction(theta)  # exact at any size, as an int or a Fraction is
+    if not isinstance(theta, (int, Fraction)):
         _finite(theta, "theta")
     th, m = Fraction(theta), lam.m
     if th <= 0:
@@ -63,8 +65,7 @@ def esf_density(lam: Partition, theta) -> Fraction:
 
 def coset_probability(lam: Partition, m: int) -> Fraction:
     """|HxH| / (2m)! as an exact rational; identical to esf_density(lam, 1/2)."""
-    if lam.m != m:
-        raise ValueError(f"partition has weight {lam.m}, expected {m}")
+    m = _check_weight(lam, m)
     numer = 2 ** (2 * m) * math.factorial(m) ** 2
     return Fraction(numer, math.factorial(2 * m) * predicted_intersection_order(lam))
 
@@ -82,8 +83,7 @@ def f_leq_threshold(f: int, m: int, c) -> bool:
     log comparison decides, escalating to 50-digit decimal logarithms
     inside a 1e-9 guard band.
     """
-    if f < 1 or m < 1:
-        raise ValueError("f and m must be positive")
+    f, m = _integer(f, "f", 1), _integer(m, "m", 1)
     cf = Fraction(c)
     if cf <= 0:
         return f <= 1
@@ -145,8 +145,7 @@ def good_probability_exact(m: int, c) -> Fraction:
     pairs plus one step per state read and per multiplicity added to it,
     passes ``EXACT_TAIL_WORK``; the m^2 is counted before anything is built.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _integer(m, "m", 1)
     _finite(c, "c")
     work = m * m
     if work > EXACT_TAIL_WORK:
@@ -297,15 +296,12 @@ def sample_partition(m: int, theta: float, seed: int) -> Partition:
 
     Bit-identical for a fixed seed across runs and platforms.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > SAMPLE_MAX_M:
+    if (m := _integer(m, "m", 1)) > SAMPLE_MAX_M:
         raise ResourceLimitError(f"sample_partition limited to m <= {SAMPLE_MAX_M}")
     theta = _finite(theta, "theta")
     if theta <= 0:
         raise ValueError(f"theta must be > 0, got {theta}")
-    rng.check_seed(seed)
-    _, sizes = _sample_parts_chunk(m, theta, seed, 0, 1)
+    _, sizes = _sample_parts_chunk(m, theta, rng.check_seed(seed), 0, 1)
     size, r = np.unique(sizes, return_counts=True)
     return Partition.trusted(tuple(zip(size.tolist(), r.tolist())), m)
 
@@ -382,14 +378,11 @@ def good_probability_mc(m: int, c: float, samples: int, seed: int) -> SampleRepo
     f-threshold test runs in log space; a sample inside the 1e-9 guard band
     is decided by the exact big-integer test, once per partition class.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > SAMPLE_MAX_M:
+    if (m := _integer(m, "m", 1)) > SAMPLE_MAX_M:
         raise ResourceLimitError(f"good_probability_mc limited to m <= {SAMPLE_MAX_M}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _integer(samples, "samples", 1)
     _finite(c, "c")
-    rng.check_seed(seed)  # before the chunks allocate anything
+    seed = rng.check_seed(seed)  # before the chunks allocate anything
     band: dict[tuple[tuple[int, int], ...], bool] = {}
     hits = sum(_chunk_hits(m, c, seed, i, min(_CHUNK, samples - i * _CHUNK), band)
                for i in range((samples + _CHUNK - 1) // _CHUNK))

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _integer
 
 #: enumeration refused above this weight (p(90) > 5*10^7); use counting
 #: or generating-function APIs instead.
@@ -25,15 +26,15 @@ class Partition:
     m: int
 
     def __post_init__(self):
-        last = 0
-        total = 0
-        for part, mult in self.counts:
-            if part <= last or mult < 1:
-                raise ValueError(f"non-canonical partition data {self.counts!r}")
-            last = part
-            total += part * mult
-        if total != self.m:
-            raise ValueError(f"weight mismatch: parts sum to {total}, m={self.m}")
+        counts = tuple((_integer(p, "part", 1), _integer(r, "multiplicity", 1))
+                       for p, r in self.counts)
+        if any(a[0] >= b[0] for a, b in zip(counts, counts[1:])):
+            raise ValueError(f"non-canonical partition data {self.counts!r}")
+        total, m = sum(p * r for p, r in counts), _integer(self.m, "m", 0)
+        if total != m:
+            raise ValueError(f"weight mismatch: parts sum to {total}, m={m}")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "m", m)
 
     @classmethod
     def trusted(cls, counts: tuple[tuple[int, int], ...], m: int) -> "Partition":
@@ -45,17 +46,12 @@ class Partition:
 
     @classmethod
     def from_parts(cls, parts: Iterable[int]) -> "Partition":
-        counts: dict[int, int] = {}
-        for p in parts:
-            if p < 1:
-                raise ValueError(f"nonpositive part {p}")
-            counts[p] = counts.get(p, 0) + 1
-        items = tuple(sorted(counts.items()))
-        return cls(items, sum(p * r for p, r in items))
+        return cls.from_multiplicities(Counter(_integer(p, "part", 1) for p in parts))
 
     @classmethod
     def from_multiplicities(cls, mult: dict[int, int]) -> "Partition":
-        items = tuple(sorted((p, r) for p, r in mult.items() if r))
+        items = ((p, _integer(r, "multiplicity", 0)) for p, r in mult.items())
+        items = tuple(sorted((_integer(p, "part", 1), r) for p, r in items if r))
         return cls(items, sum(p * r for p, r in items))
 
     @classmethod
@@ -90,9 +86,7 @@ def _zs1(m: int, push: Callable, base: tuple) -> Iterator[tuple]:
     (part, mult).  A step drops the 1s, takes one copy of the smallest part p and
     refills with parts p - 1 and a remainder; only the top changes, so a prefix
     that ``push`` carries costs O(1) work per partition, amortised."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m > ENUMERATION_MAX_M:
+    if (m := _integer(m, "m", 0)) > ENUMERATION_MAX_M:
         raise ResourceLimitError(
             f"partition enumeration limited to m <= {ENUMERATION_MAX_M} (p({m}) is too "
             "large to list); use partition_count or the series coefficients instead")
@@ -126,6 +120,7 @@ def iter_counts(m: int) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
 
 def iter_partitions(m: int) -> Iterator[Partition]:
     """Stream the partitions of ``m`` in the order of :func:`iter_counts`."""
+    m = _integer(m, "m", 0)
     for counts, _ in iter_counts(m):
         yield Partition.trusted(counts, m)
 
@@ -140,9 +135,7 @@ _pcount: list[int] = [1]
 
 def partition_count(m: int) -> int:
     """p(m) via Euler's pentagonal-number recurrence, exact and memoized."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m < len(_pcount):
+    if (m := _integer(m, "m", 0)) < len(_pcount):
         return _pcount[m]
     while len(_pcount) <= m:
         n = len(_pcount)

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import _integer
 from .partitions import Partition
 
 
@@ -45,7 +46,7 @@ class Permutation:
 
 
 def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(n)))
+    return Permutation(tuple(range(_integer(n, "n", 0))))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -107,6 +108,7 @@ def disjoint_cycles(g: Permutation) -> tuple[tuple[int, ...], ...]:
 
 def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
     """Build a permutation of degree ``n`` from disjoint 1-indexed cycles."""
+    n = _integer(n, "n", 0)
     images = list(range(n))
     used = set()
     for cyc in cycles:
@@ -153,7 +155,7 @@ def parse_permutation(text: str, n: int) -> Permutation:
 
     Rejects repeated symbols and out-of-range entries.
     """
-    text = text.strip()
+    text, n = text.strip(), _integer(n, "n", 0)
     if text.startswith("["):
         if not text.endswith("]"):
             raise ValueError(f"unterminated one-line form: {text!r}")

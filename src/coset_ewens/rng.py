@@ -4,12 +4,15 @@ Every draw is a pure function of (seed, stream index): a consumer that
 owns a block of indices computes ``uniform01_array(seed, indices)``, with
 no generator state to carry between draws or blocks.  Integer arithmetic
 wraps exactly in uint64 and the float conversion uses the top 53 bits, so
-sequences are identical across platforms.  Seeds outside [0, 2^64) are
-refused rather than reduced modulo 2^64, so no two seeds alias one stream.
+sequences are identical across platforms.  A seed that is not an integer in
+[0, 2^64), 1.5 or 3.0 alike, is refused rather than truncated or reduced
+modulo 2^64, so no two seeds alias one stream.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import _integer
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -18,9 +21,11 @@ _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0**-53
 
 
-def check_seed(seed: int) -> None:
-    if not 0 <= seed <= _MASK:
+def check_seed(seed: int) -> int:
+    """``seed`` as an int in [0, 2^64), else a ValueError naming the seed."""
+    if (seed := _integer(seed, "seed", 0)) > _MASK:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
 
 
 def uniform01_array(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -31,7 +36,7 @@ def uniform01_array(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
     the first n draws of every seed, one row per seed.
     """
     if not isinstance(seed, np.ndarray):
-        check_seed(seed)
+        seed = check_seed(seed)
     z = (np.uint64(seed) + (indices.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)

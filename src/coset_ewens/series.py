@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +20,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import NumericRangeError, ResourceLimitError, _finite
+from .errors import NumericRangeError, ResourceLimitError, _finite, _integer
 
 SERIES_EXACT_MAX_M = 200
 # exact integers grow like beta * M * log2(2M) bits; beta = 16 at M = 200
@@ -60,16 +60,14 @@ def log_W_direct(beta: float, m: int) -> float:
 
 def W_one_closed(m: int) -> Fraction:
     """W(1, m) = (2m)! / (2^{2m} (m!)^2) as an exact rational."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _integer(m, "m", 1)
     return Fraction(math.factorial(2 * m), 4**m * math.factorial(m) ** 2)
 
 
 def log_W_one_closed(m: int) -> float:
     """log W(1, m) through lgamma; absolute error below 1e-10 for the
     supported range (m up to a few 10^4)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _integer(m, "m", 1)
     return (math.lgamma(2 * m + 1) - 2 * m * math.log(2.0)
             - 2 * math.lgamma(m + 1))
 
@@ -83,7 +81,7 @@ class TruncatedSeries:
     exact: bool
 
     def coefficient(self, k: int):
-        if not 0 <= k <= self.truncation:
+        if (k := _integer(k, "k", 0)) > self.truncation:
             raise ValueError(f"coefficient index {k} outside 0..{self.truncation}")
         return self.coefficients[k]
 
@@ -98,9 +96,7 @@ def W_series_coeffs(beta, M: int) -> TruncatedSeries:
     M <= 200; otherwise float64, for M <= 20000.  A non-finite beta, or
     one past float64, is a ValueError.
     """
-    b = _finite(beta, "beta")
-    if M < 0:
-        raise ValueError("M must be nonnegative")
+    b, M = _finite(beta, "beta"), _integer(M, "M", 0)
     if _is_whole(beta) and M <= SERIES_EXACT_MAX_M:
         if b * M > SERIES_EXACT_MAX_BETA_M:
             raise ResourceLimitError(
@@ -188,9 +184,7 @@ def _float_product(betas: Sequence[float], M: int) -> np.ndarray:
 # bench/tracer.py wraps this name by getattr: keep it until the tracer changes (ROADMAP 2(c))
 def W_coefficient(beta: float, m: int) -> float:
     """Float W(beta, m) through the series product (degree-exact)."""
-    b = _finite(beta, "beta")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    b, m = _finite(beta, "beta"), _integer(m, "m", 0)
     return float(_float_product((b,), m)[m, 0])
 
 
@@ -282,9 +276,7 @@ def _tail_bound(m: int, c: float, name: str, params: Sequence[float],
     """min over the grid of m^{c e} W(1,m)^{-1} W(beta, m), one (param, e, beta)
     per grid point: every prefactor taken before the kernel runs, then one
     kernel call per block of distinct ascending betas."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    _finite(c, "c")
+    m, c = _integer(m, "m", 1), _finite(c, "c")
     if len(params) > TAIL_GRID_MAX_POINTS:
         raise ResourceLimitError(f"tail grids limited to {TAIL_GRID_MAX_POINTS} points")
     log_m = math.log(m)
@@ -307,18 +299,23 @@ def _tail_bound(m: int, c: float, name: str, params: Sequence[float],
 
 def default_alpha_grid(points: int = 64) -> tuple[float, ...]:
     """``points`` alphas spaced geometrically from 1e-3 to 8."""
-    if points > TAIL_GRID_MAX_POINTS:
+    if (points := _integer(points, "points", 1)) > TAIL_GRID_MAX_POINTS:
         raise ResourceLimitError(f"tail grids limited to {TAIL_GRID_MAX_POINTS} points")
     return tuple(float(a) for a in np.geomspace(1e-3, 8.0, points))
+
+
+def _grid(x, name: str) -> tuple[float, ...]:
+    """A nonempty grid as finite floats; ``np.ndim(x) == 0`` (a 0-d array too) is one point."""
+    if not (grid := tuple(_finite(v, name) for v in ((x,) if np.ndim(x) == 0 else x))):
+        raise ValueError(f"{name} grid must be nonempty")
+    return grid
 
 
 def left_tail_bound(m: int, c: float, alpha_grid: Sequence[float] | None = None) -> TailBoundResult:
     """Markov bound on P(f <= m^c): min over the grid of
     m^{c a} * W(1,m)^{-1} * W(a+1, m); every grid value is itself valid."""
-    alphas = tuple(alpha_grid) if alpha_grid is not None else default_alpha_grid()
-    if not alphas:
-        raise ValueError("alpha grid must be nonempty")
-    if any(_finite(a, "alpha") <= 0 for a in alphas):
+    alphas = _grid(alpha_grid, "alpha") if alpha_grid is not None else default_alpha_grid()
+    if any(a <= 0 for a in alphas):
         raise ValueError("alpha grid entries must be > 0")
     return _tail_bound(m, c, "alpha", alphas, alphas, [a + 1.0 for a in alphas])
 
@@ -326,9 +323,7 @@ def left_tail_bound(m: int, c: float, alpha_grid: Sequence[float] | None = None)
 def right_tail_bound(m: int, c: float, beta) -> TailBoundResult:
     """Markov bound on P(f > m^c): m^{-c(1-beta)} W(1,m)^{-1} W(beta, m)
     for 0 < beta < 1; a scalar (any real) or a grid of betas may be supplied."""
-    betas = tuple(_finite(b, "beta") for b in (beta if isinstance(beta, Iterable) else (beta,)))
-    if not betas:
-        raise ValueError("beta grid must be nonempty")
+    betas = _grid(beta, "beta")
     if any(not 0.0 < b < 1.0 for b in betas):
         raise ValueError("beta must lie strictly inside (0, 1)")
     return _tail_bound(m, c, "beta", betas, [-(1.0 - b) for b in betas], betas)
@@ -336,8 +331,7 @@ def right_tail_bound(m: int, c: float, beta) -> TailBoundResult:
 
 def default_right_beta(m: int, t: float = 1.0) -> float:
     """beta = 1 - t/(log m)^2, the scaling used for the right tail."""
-    if m < 3:
-        raise ValueError("m must be >= 3 for the default beta")
+    m = _integer(m, "m", 3)
     b = 1.0 - _finite(t, "t") / math.log(m) ** 2
     if not 0.0 < b < 1.0:
         raise ValueError(f"t={t} gives beta={b} outside (0, 1) at m={m}")
@@ -390,12 +384,10 @@ def asymptotic_diagnostic(beta: float, m_list: Sequence[int]) -> list[Asymptotic
     beta = _finite(beta, "beta")
     if beta <= 1.0:
         raise ValueError("asymptotic_diagnostic requires beta > 1")
-    if not m_list:
+    if not (m_list := [_integer(m, "m", 1) for m in m_list]):
         raise ValueError("m_list must be nonempty")
-    if min(m_list) < 1:
-        raise ValueError(f"every m must be >= 1, got {min(m_list)}")
     # index at once: only the listed degrees outlive the kernel's buffers
-    coeffs = _float_product((beta,), max(m_list))[list(m_list), 0].tolist()
+    coeffs = _float_product((beta,), max(m_list))[m_list, 0].tolist()
     limit = W_at_one(beta).value / 2.0**beta
     rows = []
     for m, w in zip(m_list, coeffs):

@@ -199,6 +199,13 @@ class TestVerify:
         code, env = run_json(capsys, ["verify", "6"])
         assert code == 2
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_m_below_one_exit_2_one_message(self, capsys, m):
+        # checked before the classes are listed, so -1 is not refused as a weight
+        code, env = run_json(capsys, ["verify", m])
+        assert code == 2
+        assert env["error"]["message"] == "m must be >= 1"
+
 
 class TestDoubleCosets:
     def test_m4_record(self, capsys):
@@ -560,6 +567,7 @@ class TestAsymptotics:
         assert code == 2
         assert env["status"] == "error"
         assert env["error"]["code"] == "usage"
+        assert env["error"]["message"] == "m must be >= 1"
         assert "payload" not in env
 
 

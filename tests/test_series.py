@@ -703,5 +703,5 @@ class TestAsymptoticDiagnostic:
             raise AssertionError("kernel ran")
 
         monkeypatch.setattr(series, "_float_product", refuse)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
             asymptotic_diagnostic(2.0, m_list)
