@@ -13,14 +13,10 @@ from .partitions import (
 from .perm import (
     Permutation,
     compose,
-    conjugate,
     cycle_string,
-    cycle_type,
     disjoint_cycles,
     from_cycles,
     identity,
-    inverse,
-    one_line_string,
     parse_permutation,
 )
 from .cosets import (

@@ -13,15 +13,17 @@ class NumericRangeError(ArithmeticError):
 
 
 def _finite(x, name: str) -> float:
-    """float(x); a value float() refuses (None, a list), nan, +-inf, or an int
-    or Fraction past float64 is a ValueError naming the parameter, whose
-    message never prints x.
+    """float(x); text (which float() would parse), a value float() refuses
+    (None, a list), nan, +-inf, or an int or Fraction past float64 is a
+    ValueError naming the parameter, whose message never prints x.
 
     >>> _finite(3, "beta"), _finite(10**5000, "c")
     Traceback (most recent call last):
     ValueError: c must be finite, got a number past float64
     """
     try:
+        if isinstance(x, (str, bytes, bytearray)):
+            raise TypeError
         f = float(x)
     except TypeError:
         raise ValueError(f"{name} must be a real number, got {type(x).__name__}") from None

@@ -329,11 +329,12 @@ def wilson_radius(hits: int, samples: int) -> float:
     return z * math.sqrt(p * (1.0 - p) / samples + z * z / (4.0 * samples * samples)) / denom
 
 
-def _chunk_hits(m: int, c: float, seed: int, chunk_index: int, count: int,
+def _chunk_hits(m: int, c, seed: int, chunk_index: int, count: int,
                 band: dict[tuple[tuple[int, int], ...], bool]) -> int:
     """Samples of one chunk with f <= m^c: log f is summed per lane, and a
-    lane within 1e-9 of c log m is decided exactly, once per class across
-    chunks (``band`` maps ((size, multiplicity), ...) to the decision)."""
+    lane within 1e-9 of c log m is decided exactly by the raw c, once per
+    class across chunks (``band`` maps ((size, multiplicity), ...) to the
+    decision)."""
     lanes, sizes = _sample_parts_chunk(m, 0.5, seed, chunk_index, count)
     # one key per distinct (lane, size), the lane above the size's bits, in
     # lane order, with multiplicity r
@@ -343,7 +344,7 @@ def _chunk_hits(m: int, c: float, seed: int, chunk_index: int, count: int,
     log_fact = np.array([math.lgamma(k + 1) for k in range(int(r.max()) + 1)])
     lf = np.bincount(lanes, weights=r * np.log(2.0 * sizes) + log_fact[r],
                      minlength=count)
-    target = c * math.log(m)
+    target = float(c) * math.log(m)  # c may be a Decimal
     near = np.abs(lf - target) < 1e-9
     hits = int(np.count_nonzero(~near & (lf < target)))
     if not near.any():
@@ -381,14 +382,14 @@ def good_probability_mc(m: int, c: float, samples: int, seed: int) -> SampleRepo
     if (m := _integer(m, "m", 1)) > SAMPLE_MAX_M:
         raise ResourceLimitError(f"good_probability_mc limited to m <= {SAMPLE_MAX_M}")
     samples = _integer(samples, "samples", 1)
-    _finite(c, "c")
+    cf = _finite(c, "c")
     seed = rng.check_seed(seed)  # before the chunks allocate anything
     band: dict[tuple[tuple[int, int], ...], bool] = {}
     hits = sum(_chunk_hits(m, c, seed, i, min(_CHUNK, samples - i * _CHUNK), band)
                for i in range((samples + _CHUNK - 1) // _CHUNK))
     return SampleReport(
         m=m,
-        c=float(c),
+        c=cf,
         samples=samples,
         hits=hits,
         frequency=hits / samples,

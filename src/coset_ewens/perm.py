@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import _integer
-from .partitions import Partition
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,10 @@ class Permutation:
         seen = [False] * n
         for v in self.images:
             if not isinstance(v, int) or not 0 <= v < n or seen[v]:
-                raise ValueError(f"images {self.images!r} are not a bijection of 1..{n}")
+                raise ValueError(
+                    f"symbol must be an integer, got {type(v).__name__}" if not isinstance(v, int)
+                    else f"symbol {v + 1} out of range 1..{n}" if not 0 <= v < n
+                    else f"repeated symbol {v + 1}")
             seen[v] = True
 
     @property
@@ -59,28 +61,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     if p.n != q.n:
         raise ValueError(f"degree mismatch: {p.n} != {q.n}")
     return Permutation(tuple(p.images[j] for j in q.images))
-
-
-def inverse(p: Permutation) -> Permutation:
-    inv = [0] * p.n
-    for i, v in enumerate(p.images):
-        inv[v] = i
-    return Permutation(tuple(inv))
-
-
-def conjugate(g: Permutation, a: Permutation) -> Permutation:
-    """Return ``a * g * a^{-1}`` (cycle type is preserved).
-
-    >>> g, a = from_cycles(4, [(1, 3)]), from_cycles(4, [(3, 4)])
-    >>> cycle_string(conjugate(g, a))
-    '(1 4)'
-    """
-    if g.n != a.n:
-        raise ValueError(f"degree mismatch: {g.n} != {a.n}")
-    out = [0] * g.n
-    for i, v in enumerate(g.images):
-        out[a.images[i]] = a.images[v]
-    return Permutation(tuple(out))
 
 
 def disjoint_cycles(g: Permutation) -> tuple[tuple[int, ...], ...]:
@@ -123,16 +103,6 @@ def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
     return Permutation(tuple(images))
 
 
-def cycle_type(g: Permutation) -> Partition:
-    """Cycle type as a partition of ``n``, fixed points included as parts 1.
-
-    >>> str(cycle_type(from_cycles(6, [(2, 4, 6)])))
-    '1^3 3^1'
-    """
-    lengths = [len(cyc) for cyc in disjoint_cycles(g)]
-    return Partition.from_parts(lengths + [1] * (g.n - sum(lengths)))
-
-
 def cycle_string(g: Permutation) -> str:
     """Disjoint-cycle text form; the identity prints as ``()``."""
     cycles = disjoint_cycles(g)
@@ -141,12 +111,15 @@ def cycle_string(g: Permutation) -> str:
     return "".join("(" + " ".join(str(s) for s in cyc) + ")" for cyc in cycles)
 
 
-def one_line_string(g: Permutation) -> str:
-    """One-line text form ``[g(1),g(2),...]``."""
-    return "[" + ",".join(str(v + 1) for v in g.images) + "]"
-
-
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def _symbols(body: str) -> list[int]:
+    """The integers of a comma- or space-separated list of symbols."""
+    try:
+        return [int(t) for t in re.split(r"[,\s]+", body) if t]
+    except ValueError as exc:  # int() names the token, not the whole text
+        raise ValueError(f"bad symbol: {exc}") from None
 
 
 def parse_permutation(text: str, n: int) -> Permutation:
@@ -159,19 +132,9 @@ def parse_permutation(text: str, n: int) -> Permutation:
     if text.startswith("["):
         if not text.endswith("]"):
             raise ValueError(f"unterminated one-line form: {text!r}")
-        body = text[1:-1].strip()
-        entries = [t for t in re.split(r"[,\s]+", body) if t] if body else []
-        if len(entries) != n:
-            raise ValueError(f"one-line form has {len(entries)} entries, expected {n}")
-        try:
-            values = [int(t) for t in entries]
-        except ValueError as exc:
-            raise ValueError(f"bad one-line entry in {text!r}") from exc
-        for v in values:
-            if not 1 <= v <= n:
-                raise ValueError(f"symbol {v} out of range 1..{n}")
-        if len(set(values)) != n:
-            raise ValueError(f"repeated symbol in one-line form {text!r}")
+        values = _symbols(text[1:-1])
+        if len(values) != n:
+            raise ValueError(f"one-line form has {len(values)} entries, expected {n}")
         return Permutation(tuple(v - 1 for v in values))
 
     if text == "" or text == "()":
@@ -179,14 +142,4 @@ def parse_permutation(text: str, n: int) -> Permutation:
     stripped = _CYCLE_RE.sub("", text)
     if stripped.strip():
         raise ValueError(f"cannot parse permutation text {text!r}")
-    cycles = []
-    for body in _CYCLE_RE.findall(text):
-        entries = [t for t in re.split(r"[,\s]+", body.strip()) if t]
-        if not entries:
-            continue
-        try:
-            cyc = [int(t) for t in entries]
-        except ValueError as exc:
-            raise ValueError(f"bad cycle entry in {text!r}") from exc
-        cycles.append(cyc)
-    return from_cycles(n, cycles)
+    return from_cycles(n, [c for c in map(_symbols, _CYCLE_RE.findall(text)) if c])

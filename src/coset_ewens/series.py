@@ -44,6 +44,7 @@ def W_direct(beta, m: int):
     Fraction for a nonnegative whole beta at m <= 200 and beta * m <= 3200,
     a float otherwise up to m <= 20000.  The direct sums over partitions
     are the tests' oracle."""
+    m = _integer(m, "m", 0)
     return W_series_coeffs(beta, m).coefficient(m)
 
 

@@ -12,12 +12,10 @@ from coset_ewens.partitions import Partition, enumerate_partitions, iter_counts,
 from coset_ewens.perm import (
     Permutation,
     compose,
-    conjugate,
     cycle_string,
     disjoint_cycles,
     from_cycles,
     identity,
-    inverse,
 )
 import coset_ewens.cosets as cosets
 from coset_ewens.cosets import (
@@ -53,6 +51,23 @@ def rand_perm(rng, n):
     images = list(range(n))
     rng.shuffle(images)
     return Permutation(tuple(images))
+
+
+def inverse(p):
+    inv = [0] * p.n
+    for i, v in enumerate(p.images):
+        inv[v] = i
+    return Permutation(tuple(inv))
+
+
+def conjugate(g, a):
+    """a g a^{-1} (cycle type is preserved)."""
+    if g.n != a.n:
+        raise ValueError(f"degree mismatch: {g.n} != {a.n}")
+    out = [0] * g.n
+    for i, v in enumerate(g.images):
+        out[a.images[i]] = a.images[v]
+    return Permutation(tuple(out))
 
 
 def base_involution(m):

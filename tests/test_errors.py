@@ -1,11 +1,12 @@
 """Every real parameter of the library goes through one check,
 ``errors._finite``, and every integer parameter through another,
-``errors._integer``.  A value that is not finite in float64, or that
-``float`` refuses (None), is a ValueError that names the parameter, never
-an OverflowError or a TypeError.  A value that ``operator.index`` refuses
-(2.5, 3.0, "3", None) is a ValueError that names the parameter, never a
-TypeError or a silent truncation, and a numpy integer gives the result of
-the equal int.  Neither message prints the value."""
+``errors._integer``.  A value that is not finite in float64, text, or
+one that ``float`` refuses (None), is a ValueError that names the
+parameter, never an OverflowError or a TypeError.  A value that
+``operator.index`` refuses (2.5, 3.0, "3", None) is a ValueError that
+names the parameter, never a TypeError or a silent truncation, and a
+numpy integer gives the result of the equal int.  Neither message prints
+the value."""
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -97,6 +98,15 @@ def test_not_real_is_value_error_naming_the_parameter(entry):
         call(None)
 
 
+@pytest.mark.parametrize("x", ["2", b"2"], ids=["str", "bytes"])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_text_is_not_a_real(entry, x):
+    # float() would parse it; _integer refuses "3" alike
+    name, call = ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {type(x).__name__}$"):
+        call(x)
+
+
 @pytest.mark.parametrize("theta", NOT_FINITE + [Decimal("1e400")],
                          ids=NOT_FINITE_IDS + ["decimal-past-float64"])
 def test_esf_density_exact_theta_of_any_size(theta):
@@ -178,7 +188,7 @@ INTEGER_ENTRIES = {
     "W_series_coeffs": ("M", lambda x: W_series_coeffs(1, x)),
     "coefficient": ("k", lambda x: W_series_coeffs(1, 5).coefficient(x)),
     "W_coefficient": ("m", lambda x: W_coefficient(1.5, x)),
-    "W_direct": ("M", lambda x: W_direct(1, x)),  # coefficient m of W_series_coeffs(beta, m)
+    "W_direct": ("m", lambda x: W_direct(1, x)),
     "log_W_direct": ("m", lambda x: log_W_direct(1.5, x)),
     "jensen_check": ("m", lambda x: jensen_check(0.5, 1.5, 0.5, x)),
     "left_tail_bound": ("m", lambda x: left_tail_bound(x, 1.0)),
@@ -217,6 +227,7 @@ def test_integer_checks_keep_their_lower_bounds():
                           (lambda: good_probability_mc(10, 2, 0, 0), "samples must be >= 1"),
                           (lambda: sample_partition(10, 0.5, -1), "seed must be nonnegative"),
                           (lambda: identity(-3), "n must be nonnegative"),
+                          (lambda: W_direct(1, -1), "m must be nonnegative"),
                           (lambda: Partition.from_parts([0]), "part must be >= 1")]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()

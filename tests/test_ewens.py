@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -794,6 +795,19 @@ class TestGoodProbabilityMC:
     def test_rejects_non_finite_c(self, c):
         with pytest.raises(ValueError):
             good_probability_mc(50, c, 100, 1)
+
+    def test_decimal_c_gives_the_report_of_the_equal_int(self):
+        assert good_probability_mc(10, Decimal("2"), 10, 1) == good_probability_mc(10, 2, 10, 1)
+
+    def test_fraction_c_decides_the_band_exactly(self):
+        # f = 16 = 8^(4/3) exactly: a Fraction c counts the class {8}, the
+        # float nearest 4/3 does not, as in good_probability_exact
+        exact = good_probability_exact(8, Fraction(4, 3))
+        assert exact == Fraction(2048, 6435)
+        report = good_probability_mc(8, Fraction(4, 3), 20000, 1)
+        assert report.hits == 6409
+        assert abs(report.frequency - exact) < 4 * report.wilson_radius_95
+        assert good_probability_mc(8, 4 / 3, 20000, 1).hits == 0
 
     def test_report_fields(self):
         report = good_probability_mc(5, 1.5, 1000, 11)

@@ -9,20 +9,28 @@ from coset_ewens.partitions import Partition
 from coset_ewens.perm import (
     Permutation,
     compose,
-    conjugate,
     cycle_string,
-    cycle_type,
     disjoint_cycles,
     from_cycles,
     identity,
-    inverse,
-    one_line_string,
     parse_permutation,
 )
+from test_cosets import conjugate, inverse
+
+
+def cycle_type(g):
+    """Cycle type from the lengths of ``disjoint_cycles``, fixed points
+    included as parts 1."""
+    lengths = [len(cyc) for cyc in disjoint_cycles(g)]
+    return Partition.from_parts(lengths + [1] * (g.n - sum(lengths)))
+
+
+def one_line_string(g):
+    return "[" + ",".join(str(v + 1) for v in g.images) + "]"
 
 
 def walk_cycle_type(g):
-    """Per-element cycle walk: the oracle for cycle_type."""
+    """Per-element cycle walk: the oracle for disjoint_cycles' lengths."""
     seen = [False] * g.n
     parts = []
     for i in range(g.n):
@@ -146,7 +154,6 @@ class TestTextFormats:
 
     def test_identity_forms(self):
         assert parse_permutation("()", 4) == identity(4)
-        assert one_line_string(from_cycles(4, [(1, 3), (2, 4)])) == "[3,4,1,2]"
         assert parse_permutation("[3,4,1,2]", 4) == from_cycles(4, [(1, 3), (2, 4)])
 
     def test_rejects_repeated_symbols(self):
@@ -166,3 +173,61 @@ class TestTextFormats:
             parse_permutation("(1 2) extra", 4)
         with pytest.raises(ValueError):
             parse_permutation("[1,2,3", 3)
+
+
+class TestBijectionCheck:
+    """``Permutation`` is the one range and repeat check of an image tuple;
+    its message names the first bad symbol, 1-indexed, and stays short at
+    any degree."""
+    N = 20_000
+
+    @pytest.mark.parametrize("images, message", [
+        ((0, 1, 9), "^symbol 10 out of range 1..3$"),
+        ((0, -1, 2), "^symbol 0 out of range 1..3$"),
+        ((0, 1, 1), "^repeated symbol 2$"),
+        ((0, "1", 2), "^symbol must be an integer, got str$"),
+        ((0, 1.0, 2), "^symbol must be an integer, got float$"),
+        (tuple(range(1, 30)) + (0, 5), "^repeated symbol 6$"),
+    ])
+    def test_names_the_first_bad_symbol(self, images, message):
+        with pytest.raises(ValueError, match=message):
+            Permutation(images)
+
+    def short_error(self, make):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert len(str(info.value)) < 100
+        return str(info.value)
+
+    def test_image_tuple_at_n_20000(self):
+        images = list(range(self.N))
+        images[-1] = self.N
+        assert self.short_error(lambda: Permutation(tuple(images))) == \
+            f"symbol {self.N + 1} out of range 1..{self.N}"
+        images[-1] = 7
+        assert self.short_error(lambda: Permutation(tuple(images))) == "repeated symbol 8"
+
+    def test_one_line_text_at_n_20000(self):
+        values = list(range(1, self.N + 1))
+        values[-1] = self.N + 1
+        text = "[" + ",".join(map(str, values)) + "]"
+        assert self.short_error(lambda: parse_permutation(text, self.N)) == \
+            f"symbol {self.N + 1} out of range 1..{self.N}"
+        values[-1] = 3
+        text = "[" + ",".join(map(str, values)) + "]"
+        assert self.short_error(lambda: parse_permutation(text, self.N)) == "repeated symbol 3"
+
+    def test_cycle_text_at_n_20000(self):
+        cycle = " ".join(map(str, range(1, self.N + 1)))
+        text = f"({cycle} {self.N + 1})"
+        assert self.short_error(lambda: parse_permutation(text, self.N)) == \
+            f"symbol {self.N + 1} out of range 1..{self.N}"
+        text = f"({cycle} 5)"
+        assert self.short_error(lambda: parse_permutation(text, self.N)) == \
+            "repeated symbol 5 in cycles"
+
+    def test_bad_token_is_named_not_the_text(self):
+        text = "[" + ",".join(map(str, range(1, self.N))) + ",x]"
+        assert "'x'" in self.short_error(lambda: parse_permutation(text, self.N))
+        text = "(" + " ".join(map(str, range(1, self.N))) + " y)"
+        assert "'y'" in self.short_error(lambda: parse_permutation(text, self.N))
