@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -310,7 +311,10 @@ def _write(pieces: list, fh) -> None:
 
 # --- driver --------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call and shared by
+    every later ``main``: do not mutate it.  A parse keeps no state in it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     common.add_argument("--out", type=str, default=None, help="write output to file")

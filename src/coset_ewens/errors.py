@@ -34,7 +34,7 @@ def _finite(x, name: str) -> float:
     return f
 
 
-def _integer(x, name: str, least: int) -> int:
+def _integer(x, name: str, least: float = -math.inf) -> int:
     """int(operator.index(x)); a value it refuses (2.0, "3", None), or one below
     ``least``, is a ValueError that names the parameter and never prints x."""
     try:

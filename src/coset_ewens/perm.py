@@ -92,13 +92,14 @@ def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
     images = list(range(n))
     used = set()
     for cyc in cycles:
+        cyc = [_integer(s, "symbol") for s in cyc]
         for s in cyc:
             if not 1 <= s <= n:
                 raise ValueError(f"symbol {s} out of range 1..{n}")
             if s in used:
                 raise ValueError(f"repeated symbol {s} in cycles")
             used.add(s)
-        for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             images[a - 1] = b - 1
     return Permutation(tuple(images))
 
@@ -109,6 +110,11 @@ def cycle_string(g: Permutation) -> str:
     if not cycles:
         return "()"
     return "".join("(" + " ".join(str(s) for s in cyc) + ")" for cyc in cycles)
+
+
+def _excerpt(text: str) -> str:
+    """The length and a short prefix of ``text``, for an error message."""
+    return f"{len(text)} characters starting {text[:40]!r}"
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -131,7 +137,7 @@ def parse_permutation(text: str, n: int) -> Permutation:
     text, n = text.strip(), _integer(n, "n", 0)
     if text.startswith("["):
         if not text.endswith("]"):
-            raise ValueError(f"unterminated one-line form: {text!r}")
+            raise ValueError(f"unterminated one-line form: {_excerpt(text)}")
         values = _symbols(text[1:-1])
         if len(values) != n:
             raise ValueError(f"one-line form has {len(values)} entries, expected {n}")
@@ -141,5 +147,5 @@ def parse_permutation(text: str, n: int) -> Permutation:
         return identity(n)
     stripped = _CYCLE_RE.sub("", text)
     if stripped.strip():
-        raise ValueError(f"cannot parse permutation text {text!r}")
-    return from_cycles(n, [c for c in map(_symbols, _CYCLE_RE.findall(text)) if c])
+        raise ValueError(f"cannot parse permutation text: {_excerpt(text)}")
+    return from_cycles(n, map(_symbols, _CYCLE_RE.findall(text)))

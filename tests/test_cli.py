@@ -173,6 +173,15 @@ class TestClassify:
         assert env["payload"]["lambda"] == str(partition_of(Permutation(tuple(images)), 1000))
         assert len(env["payload"]["coset_size"]) > 4300
 
+    @pytest.mark.parametrize("text", [
+        "[" + ",".join(map(str, range(1, 20_001))),
+        "(" + " ".join(map(str, range(1, 20_001))) + ") extra",
+    ])
+    def test_bad_text_message_stays_short(self, capsys, text):
+        code, env = run_json(capsys, ["classify", text, "10000"])
+        assert code == 2 and env["error"]["code"] == "usage"
+        assert len(env["error"]["message"]) < 200
+
     def test_m_above_cap_refused_before_parsing(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "parse_permutation", fail)
         start = time.perf_counter()

@@ -164,6 +164,7 @@ INTEGER_ENTRIES = {
     "partition_count": ("m", partition_count),
     "identity": ("n", identity),
     "from_cycles": ("n", lambda x: from_cycles(x, [])),
+    "from_cycles-symbol": ("symbol", lambda x: from_cycles(3, [(1, x)])),
     "parse_permutation": ("n", lambda x: parse_permutation("()", x)),
     "is_in_H": ("m", lambda x: is_in_H(_G, x)),
     "partition_of": ("m", lambda x: partition_of(_G, x)),

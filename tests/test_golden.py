@@ -17,7 +17,7 @@ import shlex
 
 import pytest
 
-from coset_ewens.cli import main
+from coset_ewens.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_payloads.json")
 COMMANDS = [
@@ -42,18 +42,37 @@ COMMANDS = [
 ]
 
 
+def envelope_digest(text: str) -> str:
+    payload = json.loads(text)["payload"]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def payload_digest(command: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(shlex.split(command))
     assert code == 0, out.getvalue()
-    payload = json.loads(out.getvalue())["payload"]
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    return envelope_digest(out.getvalue())
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_payload_digest(command):
     assert payload_digest(command) == json.loads(GOLDEN.read_text())[command]
+
+
+def test_shared_parser_keeps_every_digest(tmp_path, capsys):
+    """``main`` reuses one parser per process: a usage error and an --out
+    run between two passes over the command set change no digest."""
+    assert build_parser() is build_parser()
+    golden = json.loads(GOLDEN.read_text())
+    assert {c: payload_digest(c) for c in COMMANDS} == golden
+    with pytest.raises(SystemExit) as info:
+        main(shlex.split("sample 50 2 100 --threads 4"))
+    assert info.value.code == 2 and "--threads" in capsys.readouterr().err
+    out = tmp_path / "verify.json"
+    assert main(["verify", "3", "--out", str(out)]) == 0
+    assert envelope_digest(out.read_text()) == golden["verify 3"]
+    assert {c: payload_digest(c) for c in COMMANDS} == golden
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,6 +193,20 @@ class TestBijectionCheck:
     def test_names_the_first_bad_symbol(self, images, message):
         with pytest.raises(ValueError, match=message):
             Permutation(images)
+
+    @pytest.mark.parametrize("cycles, message", [
+        ([(1, "2")], "^symbol must be an integer, got str$"),
+        ([(1, 2.0)], "^symbol must be an integer, got float$"),
+        ([(1, None)], "^symbol must be an integer, got NoneType$"),
+        ([(1, 4)], "^symbol 4 out of range 1..3$"),
+        ([(1, 2), (3, 1)], "^repeated symbol 1 in cycles$"),
+    ])
+    def test_from_cycles_names_the_bad_symbol(self, cycles, message):
+        with pytest.raises(ValueError, match=message):
+            from_cycles(3, cycles)
+
+    def test_from_cycles_numpy_symbols(self):
+        assert from_cycles(3, [(np.int64(1), np.uint16(3))]) == from_cycles(3, [(1, 3)])
 
     def short_error(self, make):
         with pytest.raises(ValueError) as info:
