@@ -20,6 +20,7 @@ import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import rng, series as series_mod
 from .cosets import (
@@ -48,10 +49,10 @@ EXIT_RESOURCE = 4
 EXIT_NUMERIC_RANGE = 5
 
 # table and double-cosets stream their rows at a flat 32 MiB max RSS, so time sets the cap:
-# double-cosets takes 8 s at m = 59, 13 s at 62, 18 s at 65, 40 s at 70 (2-core Xeon, Py 3.11)
+# double-cosets takes 4 s at m = 59, 7 s at 62, 9 s at 65, 19 s at 70 (2-core Xeon, Py 3.11)
 CLASS_TABLE_MAX_M = 70
-# rows per json.dumps call as they stream: the 14 883 rows of double-cosets 35
-# take 88 ms at one call a row, 43 ms as one list and 33 ms at 512 a call
+# rows per write as they stream: the 14 883 rows of double-cosets 35 are written
+# in 22 ms at one write a row, 10 ms as one string and 9 ms at 512 a write
 ROW_BATCH = 512
 # the exact coset size's digits make classify about quadratic in m
 CLASSIFY_MAX_M = 20_000
@@ -59,10 +60,6 @@ CLASSIFY_MAX_M = 20_000
 
 class VerificationFailure(Exception):
     pass
-
-
-def _fmt_fraction(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _finite_float(text: str) -> float:
@@ -138,9 +135,9 @@ def _class_table(m: int) -> tuple[int, Iterator[tuple[int, str, str]]]:
 
 def cmd_double_cosets(args) -> dict:
     h2, rows = _class_table(args.m)
-    classes = ({"lambda": lam, "predicted_order": str(f), "coset_size": str(h2 // f),
-                "canonical": cycles} for f, lam, cycles in rows)
-    return {"m": args.m, "classes": classes}
+    fields = ("lambda", "predicted_order", "coset_size", "canonical")
+    classes = ((lam, str(f), str(h2 // f), cycles) for f, lam, cycles in rows)
+    return {"m": args.m, "classes": _Table(fields, classes)}
 
 
 def cmd_table(args) -> dict:
@@ -156,21 +153,17 @@ def cmd_table(args) -> dict:
             mass += size
             g = math.gcd(a, f)
             num, den = a // g, b * (f // g)
-            yield {
-                "lambda": lam,
-                "predicted_order": str(f),
-                "coset_size": str(size),
-                "probability": f"{num}/{den}",
-                "probability_float": num / den,  # the rounding of float(Fraction)
-            }
+            # num / den is the rounding of float(Fraction)
+            yield lam, str(f), str(size), f"{num}/{den}", num / den
 
+    fields = ("lambda", "predicted_order", "coset_size", "probability", "probability_float")
     # "total" follows "rows": the writer calls it after the last row
-    return {"m": args.m, "rows": rows(), "total": lambda: _fmt_fraction(Fraction(mass, fact_2m))}
+    return {"m": args.m, "rows": _Table(fields, rows()),
+            "total": lambda: "%d/%d" % Fraction(mass, fact_2m).as_integer_ratio()}
 
 
 def cmd_sample(args) -> dict:
-    report = good_probability_mc(args.m, args.c, args.samples, args.seed)
-    return report.to_json_dict()
+    return good_probability_mc(args.m, args.c, args.samples, args.seed).to_json_dict()
 
 
 def cmd_tails(args) -> dict:
@@ -185,28 +178,19 @@ def cmd_tails(args) -> dict:
     return {
         "m": m,
         "c": c,
-        "left": {
-            "bound": left.bound,
-            "alpha_argmin": left.parameter,
-            "grid": [[a, b] for a, b in left.grid],
-        },
-        "right": {
-            "bound": right.bound,
-            "beta": right.parameter,
-        },
+        "left": {"bound": left.bound, "alpha_argmin": left.parameter, "grid": left.grid},
+        "right": {"bound": right.bound, "beta": right.parameter},
     }
 
 
 def cmd_series(args) -> dict:
     ts = series_mod.W_series_coeffs(args.beta, args.max_degree)
-    coeffs: list = []
-    for v in ts.coefficients:
-        coeffs.append(_fmt_fraction(v) if ts.exact else v)
     return {
         "beta": args.beta,
         "max_degree": ts.truncation,
         "exact": ts.exact,
-        "coefficients": coeffs,
+        "coefficients": (["%d/%d" % q.as_integer_ratio() for q in ts.coefficients]
+                         if ts.exact else ts.coefficients),
     }
 
 
@@ -219,21 +203,43 @@ def cmd_asymptotics(args) -> dict:
         "product_at_one": w1.value,
         "product_error_bound": w1.error_bound,
         "limit": rows[0].limit,
-        "rows": [
-            {"m": r.m, "scaled": r.scaled, "relative_deviation": r.relative_deviation}
-            for r in rows
-        ],
+        "rows": [{"m": r.m, "scaled": r.scaled, "relative_deviation": r.relative_deviation}
+                 for r in rows],
     }
 
 
 # --- output --------------------------------------------------------------
 
-def _json_rows(rows: Iterator) -> Iterator[str]:
-    yield "["
-    sep = ""
+class _Table(NamedTuple):
+    """A table of a payload: its field names, and its rows as tuples of values
+    in field order, which the writer reads once, as it writes them."""
+    fields: tuple[str, ...]
+    rows: Iterable[tuple]
+
+
+def _batches(table: _Table, template: Callable, sep: str, lead: str = "") -> Iterator[str]:
+    """The rows, each filled into ``template(first row)`` by ``%``, as strings of ROW_BATCH
+    rows joined by ``sep``; ``lead``, then ``sep``, goes before each as a string of its own."""
+    rows = iter(table.rows)
+    if (first := next(rows, None)) is None:
+        return
+    fill, rows = template(first).__mod__, itertools.chain((first,), rows)
     while batch := list(itertools.islice(rows, ROW_BATCH)):
-        yield sep + json.dumps(batch, allow_nan=False)[1:-1]
-        sep = ", "
+        yield lead  # prepended, it would copy the batch
+        yield sep.join(map(fill, batch))
+        lead = sep
+
+
+def _json_table(table: _Table) -> Iterator[str]:
+    """``table`` as a JSON list of objects.  A float is written by repr, as json
+    does; a text is not escaped, so it must need none: every text of a class
+    table is digits, spaces and the characters ^()/."""
+    def template(first: tuple) -> str:
+        return "{" + ", ".join(json.dumps(k) + (": %r" if isinstance(v, float) else ': "%s"')
+                               for k, v in zip(table.fields, first)) + "}"
+
+    yield "["
+    yield from _batches(table, template, ", ")
     yield "]"
 
 
@@ -244,9 +250,9 @@ def _json_late(value: Callable) -> Iterator[str]:
 def _json_pieces(obj) -> list:
     """``json.dumps(obj, allow_nan=False)`` as strings and iterators of strings.
 
-    An iterator in ``obj`` is encoded ROW_BATCH rows a call, and a callable is
-    called, only when the writer reaches it.  Everything else is encoded here,
-    so a non-finite float raises before a byte is written.
+    A :class:`_Table` in ``obj`` is written ROW_BATCH rows a string, and a
+    callable is called, only when the writer reaches it.  Everything else is
+    encoded here, so a non-finite float raises before a byte is written.
     """
     if isinstance(obj, dict):
         pieces = ["{"]
@@ -254,49 +260,35 @@ def _json_pieces(obj) -> list:
             pieces.append((", " if i else "") + json.dumps(key) + ": ")
             pieces += _json_pieces(value)
         return pieces + ["}"]
-    if isinstance(obj, Iterator):
-        return [_json_rows(obj)]
+    if isinstance(obj, _Table):
+        return [_json_table(obj)]
     if callable(obj):
         return [_json_late(obj)]
     return [json.dumps(obj, allow_nan=False)]
 
 
-def _csv_escape(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+def _csv(table: _Table) -> Iterator[str]:
+    """``table`` as CSV: a header line, then a line a row, a float as ``%.17g``."""
+    yield ",".join(table.fields)
+    yield from _batches(table, lambda first: ",".join("%.17g" if isinstance(v, float) else "%s"
+                                                      for v in first), "\n", "\n")
+    yield "\n"
 
 
-def _csv_lines(fieldnames: list[str], rows: Iterable[dict]) -> Iterator[str]:
-    yield ",".join(fieldnames) + "\n"
-    for row in rows:
-        yield ",".join(_csv_escape(row[f]) for f in fieldnames) + "\n"
-
-
-def _payload_csv(command: str, payload: dict) -> Iterator[str] | None:
-    if command == "table":
-        return _csv_lines(
-            ["lambda", "predicted_order", "coset_size", "probability", "probability_float"],
-            payload["rows"])
-    if command == "double-cosets":
-        return _csv_lines(
-            ["lambda", "predicted_order", "coset_size", "canonical"],
-            payload["classes"])
+def _payload_csv(command: str, p: dict) -> Iterator[str] | None:
+    if command in ("table", "double-cosets"):
+        return _csv(p["rows" if command == "table" else "classes"])
     if command == "sample":
-        return _csv_lines(
-            ["m", "c", "samples", "frequency", "wilson_radius_95", "seed"],
-            [payload])
+        fields = ("m", "c", "samples", "frequency", "wilson_radius_95", "seed")
+        return _csv(_Table(fields, [tuple(p[k] for k in fields)]))
     if command == "series":
-        rows = [{"m": k, "coefficient": v} for k, v in enumerate(payload["coefficients"])]
-        return _csv_lines(["m", "coefficient"], rows)
+        return _csv(_Table(("m", "coefficient"), enumerate(p["coefficients"])))
     if command == "asymptotics":
-        rows = [{"m": r["m"], "scaled": r["scaled"],
-                 "relative_deviation": r["relative_deviation"],
-                 "limit": payload["limit"]} for r in payload["rows"]]
-        return _csv_lines(["m", "scaled", "limit", "relative_deviation"], rows)
+        return _csv(_Table(("m", "scaled", "limit", "relative_deviation"),
+                           [(r["m"], r["scaled"], p["limit"], r["relative_deviation"])
+                            for r in p["rows"]]))
     if command == "tails":
-        rows = [{"alpha": a, "left_bound": b} for a, b in payload["left"]["grid"]]
-        return _csv_lines(["alpha", "left_bound"], rows)
+        return _csv(_Table(("alpha", "left_bound"), p["left"]["grid"]))
     return None
 
 

@@ -35,10 +35,18 @@ def uniform01_array(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
     against ``indices``, so ``seeds[:, None]`` with ``np.arange(n)`` gives
     the first n draws of every seed, one row per seed.
     """
-    if not isinstance(seed, np.ndarray):
-        seed = check_seed(seed)
-    z = (np.uint64(seed) + (indices.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    seed = np.uint64(seed if isinstance(seed, np.ndarray) else check_seed(seed))
+    # every step runs in place on z and one scratch buffer t, which ends as the floats
+    z = np.empty(np.broadcast_shapes(seed.shape, indices.shape), np.uint64)
+    z[...] = indices
+    z += np.uint64(1)
+    z *= np.uint64(_GOLDEN)
+    z += seed
+    t = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=t)
+    z *= np.uint64(_MIX1)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    z >>= np.uint64(11)
+    return np.multiply(z, _INV_2_53, out=t.view(np.float64))

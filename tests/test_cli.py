@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -353,6 +354,68 @@ class TestStreamedClassTables:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestRowTemplate:
+    """The class tables are written from one %-template a table: a float by
+    repr, a text unescaped, so every text must need no JSON escaping."""
+
+    @pytest.mark.parametrize("x", [0.0, 5e-324, 0.1, 1 / 3, 2.5e-300, 1.0])
+    def test_float_field_equals_json_dumps(self, x):
+        table = cli._Table(("lambda", "probability_float"), iter([("1^1", x)]))
+        assert "".join(cli._json_table(table)) == json.dumps([{"lambda": "1^1",
+                                                                "probability_float": x}])
+
+    @pytest.mark.parametrize("command", [cli.cmd_table, cli.cmd_double_cosets])
+    @pytest.mark.parametrize("m", range(13))
+    def test_every_text_needs_no_escaping(self, command, m):
+        payload = command(SimpleNamespace(m=m))
+        table = payload["rows"] if command is cli.cmd_table else payload["classes"]
+        rows = list(table.rows)
+        assert len(rows) == len(enumerate_partitions(m))
+        texts = [v for row in rows for v in row if not isinstance(v, float)]
+        assert all(isinstance(t, str) and re.fullmatch(r"[0-9^ ()/]*", t) for t in texts)
+
+    @pytest.mark.parametrize("command, key", [("table", "rows"), ("double-cosets", "classes")])
+    def test_m0_is_one_row_with_no_leading_separator(self, capsys, command, key):
+        code, out = run(capsys, [command, "0"])
+        assert code == 0
+        assert f'"{key}": [{{"lambda": "", ' in out
+        assert len(json.loads(out)["payload"][key]) == 1
+
+
+def oracle_small_csv(command, payload):
+    """CSV of the four one-shot commands from their JSON payload, by the rule
+    of the writer the row template replaced: a float as ``.17g``, else str."""
+    if command == "sample":
+        fields = ["m", "c", "samples", "frequency", "wilson_radius_95", "seed"]
+        rows = [[payload[f] for f in fields]]
+    elif command == "series":
+        fields, rows = ["m", "coefficient"], list(enumerate(payload["coefficients"]))
+    elif command == "asymptotics":
+        fields = ["m", "scaled", "limit", "relative_deviation"]
+        rows = [[r["m"], r["scaled"], payload["limit"], r["relative_deviation"]]
+                for r in payload["rows"]]
+    else:
+        fields, rows = ["alpha", "left_bound"], payload["left"]["grid"]
+    lines = [",".join(fields)] + [",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                                           for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "100", "2", "1000", "--seed", "3"],
+    ["series", "1", "30"],
+    ["series", "1.5", "40"],
+    ["asymptotics", "2.0", "--m-list", "50,200"],
+    ["asymptotics", "1.2", "--m-list", "1,7,1000"],
+    ["tails", "100", "2", "--alpha-points", "8"],
+    ["tails", "1000", "2", "--alpha-grid", "0.25,1e-3,3"],
+])
+def test_small_command_csv_bytes_equal_the_oracle(capsys, argv):
+    code, env = run_json(capsys, argv)
+    assert code == 0
+    assert run(capsys, [*argv, "--csv"]) == (0, oracle_small_csv(argv[0], env["payload"]))
 
 
 class TestUnopenableOut:

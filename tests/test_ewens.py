@@ -590,6 +590,49 @@ def _reference_parts_chunk(m, theta, seed, chunk_index, count):
     return parts
 
 
+def uniform01_array_oracle(seed, indices):
+    """Oracle: the splitmix64 mixer as one numpy expression a step, each step
+    a new full-length array, as ``rng.uniform01_array`` computed it before it
+    ran in place."""
+    z = np.uint64(seed) + (indices.astype(np.uint64) + np.uint64(1)) * np.uint64(rng._GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(rng._MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(rng._MIX2)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+class TestInPlaceMixer:
+    INDICES = [np.arange(10_000), np.arange(10_000, dtype=np.uint64) + (7 << 40),
+               np.array([0, 2**63 - 1, 2**64 - 1], dtype=np.uint64)]
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+    @pytest.mark.parametrize("which", range(3))
+    def test_bits_equal_the_oracle(self, seed, which):
+        idx = self.INDICES[which]
+        got = rng.uniform01_array(seed, idx)
+        assert got.dtype == np.float64 and got.shape == idx.shape
+        assert np.array_equal(got, uniform01_array_oracle(seed, idx))
+
+    def test_seed_column_broadcasts(self):
+        seeds = np.array([0, 12345, 2**63, 2**64 - 1], dtype=np.uint64)[:, None]
+        idx = np.arange(5000)
+        got = rng.uniform01_array(seeds, idx)
+        assert got.shape == (4, 5000)
+        assert np.array_equal(got, uniform01_array_oracle(seeds, idx))
+
+    def test_two_buffers_at_most(self):
+        # a million draws: the in-place mixer holds z and one scratch buffer,
+        # 2 * 8 MB, where a new array a step held three (24 MB traced)
+        idx = np.arange(10**6, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            u = rng.uniform01_array(2718, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.shape == idx.shape and peak < 2.5 * u.nbytes
+
+
 class TestRngSeedRange:
     def test_edges_accepted(self):
         edges = (0, 2**64 - 1)
