@@ -7,7 +7,6 @@ from .partitions import (
     Partition,
     enumerate_partitions,
     iter_counts,
-    iter_partitions,
     partition_count,
 )
 from .perm import (
@@ -27,8 +26,6 @@ from .cosets import (
     coset_class,
     double_coset_size,
     enumerate_double_cosets,
-    intersection_subgroup,
-    is_in_H,
     partition_of,
     predicted_intersection_order,
     reduce_to_even_support,

@@ -19,6 +19,7 @@ import re
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -62,6 +63,12 @@ class VerificationFailure(Exception):
     pass
 
 
+def _digits(n: int) -> str:
+    """The decimal digits of n.  str(int) stops at the interpreter's 4300-digit limit,
+    str(Decimal) does not: coset_size has ~5700 digits at m = 1000."""
+    return str(Decimal(n))
+
+
 def _finite_float(text: str) -> float:
     """argparse type for float arguments: nan and +-inf are usage errors."""
     try:
@@ -76,14 +83,12 @@ def _finite_float(text: str) -> float:
 # --- command payloads ----------------------------------------------------
 
 def cmd_classify(args) -> dict:
-    if (m := _integer(args.m, "m", 1)) > CLASSIFY_MAX_M:
-        raise ResourceLimitError(f"classify limited to m <= {CLASSIFY_MAX_M}")
+    m = _integer(args.m, "m", 1, CLASSIFY_MAX_M, "classify")
     g = parse_permutation(args.perm, 2 * m)
-    lam = partition_of(g, m)
-    record = coset_class(lam, m).to_json_dict()
-    record["m"] = m
-    record["input_cycles"] = cycle_string(g)
-    return record
+    cls = coset_class(partition_of(g, m), m)
+    return {"lambda": str(cls.lam), "predicted_order": _digits(cls.predicted_order),
+            "coset_size": _digits(cls.coset_size), "canonical": cls.canonical,
+            "m": m, "input_cycles": cycle_string(g)}
 
 
 def cmd_verify(args) -> dict:
@@ -127,9 +132,9 @@ def cmd_verify(args) -> dict:
     return payload
 
 
+# the class tables print with str: at m <= 70 every integer is under 250 digits
 def _class_table(m: int) -> tuple[int, Iterator[tuple[int, str, str]]]:
-    if (m := _integer(m, "m", 0)) > CLASS_TABLE_MAX_M:
-        raise ResourceLimitError(f"table and double-cosets limited to m <= {CLASS_TABLE_MAX_M}")
+    m = _integer(m, "m", 0, CLASS_TABLE_MAX_M, "table and double-cosets")
     return (2**m * math.factorial(m)) ** 2, _class_rows(m)
 
 
@@ -172,9 +177,10 @@ def cmd_tails(args) -> dict:
         alphas = [float(t) for t in args.alpha_grid.split(",")]
     else:
         alphas = list(series_mod.default_alpha_grid(args.alpha_points))
-    left = series_mod.left_tail_bound(m, c, alphas)
+    # the right tail's one kernel column first, so that its beta is refused before the grid runs
     beta = args.beta if args.beta is not None else series_mod.default_right_beta(m, args.t)
     right = series_mod.right_tail_bound(m, c, beta)
+    left = series_mod.left_tail_bound(m, c, alphas)
     return {
         "m": m,
         "c": c,
@@ -189,7 +195,7 @@ def cmd_series(args) -> dict:
         "beta": args.beta,
         "max_degree": ts.truncation,
         "exact": ts.exact,
-        "coefficients": (["%d/%d" % q.as_integer_ratio() for q in ts.coefficients]
+        "coefficients": (["/".join(map(_digits, q.as_integer_ratio())) for q in ts.coefficients]
                          if ts.exact else ts.coefficients),
     }
 

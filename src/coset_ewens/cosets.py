@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from decimal import Decimal
 from functools import cache, lru_cache, partial
 
 import numpy as np
@@ -59,12 +58,6 @@ def is_in_H(g: Permutation, m: int) -> bool:
         if a // 2 != b // 2:
             return False
     return True
-
-
-def _check_m(m: int, cap: int, name: str) -> int:
-    if (m := _integer(m, "m", 1)) > cap:
-        raise ResourceLimitError(f"{name} limited to m <= {cap}")
-    return m
 
 
 def _lex_permutations(n: int) -> np.ndarray:
@@ -197,7 +190,7 @@ def _intersection_rows(g: Permutation, m: int) -> np.ndarray:
     {g(2k-1), g(2k)}, so h in H is kept iff it maps each image block onto
     an image block."""
     _check_degree(g, m)
-    m = _check_m(m, INTERSECTION_MAX_M, "intersection_subgroup")
+    m = _integer(m, "m", 1, INTERSECTION_MAX_M, "intersection_subgroup")
     img, block = np.array(g.images), np.argsort(g.images) // 2  # block[g(s)] = s // 2
     H = _H_array(m)
     # h sends the image pair (a, b) into one image block iff their blocks agree
@@ -323,7 +316,7 @@ def enumerate_double_cosets(m: int) -> list[OrbitClass]:
     :func:`_coset_type_lengths` and returned sorted by their partition's
     text form.
     """
-    m = _check_m(m, ORBIT_SWEEP_MAX_M, "enumerate_double_cosets")
+    m = _integer(m, "m", 1, ORBIT_SWEEP_MAX_M, "enumerate_double_cosets")
     n = 2 * m  # n <= 14: symbols are base-16 digits, keys fit in int64
     M, H = _matchings(n), _H_array(m)
     weights = 16 ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -392,16 +385,6 @@ class CosetClass:
     predicted_order: int
     coset_size: int
     canonical: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": str(self.lam),
-            # Decimal prints ints of any length; str(int) stops at the
-            # interpreter's digit limit (coset_size has ~5700 digits at m = 1000)
-            "predicted_order": str(Decimal(self.predicted_order)),
-            "coset_size": str(Decimal(self.coset_size)),
-            "canonical": self.canonical,
-        }
 
 
 def coset_class(lam: Partition, m: int) -> CosetClass:

@@ -1,5 +1,5 @@
 """Shared exception types, the one check of a real parameter and the one
-of an integer parameter."""
+of an integer parameter, which is also the one check of an integer cap."""
 import math
 import operator
 
@@ -34,13 +34,17 @@ def _finite(x, name: str) -> float:
     return f
 
 
-def _integer(x, name: str, least: float = -math.inf) -> int:
+def _integer(x, name: str, least: float = -math.inf, most: float = math.inf,
+             what: str = "") -> int:
     """int(operator.index(x)); a value it refuses (2.0, "3", None), or one below
-    ``least``, is a ValueError that names the parameter and never prints x."""
+    ``least``, is a ValueError that names the parameter and never prints x.  One
+    above ``most`` is the resource cap "``what`` limited to ``name`` <= ``most``"."""
     try:
         n = int(operator.index(x))
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {type(x).__name__}") from None
     if n < least:
         raise ValueError(f"{name} must be >= {least}" if least else f"{name} must be nonnegative")
+    if n > most:
+        raise ResourceLimitError(f"{what} limited to {name} <= {most}")
     return n

@@ -296,8 +296,7 @@ def sample_partition(m: int, theta: float, seed: int) -> Partition:
 
     Bit-identical for a fixed seed across runs and platforms.
     """
-    if (m := _integer(m, "m", 1)) > SAMPLE_MAX_M:
-        raise ResourceLimitError(f"sample_partition limited to m <= {SAMPLE_MAX_M}")
+    m = _integer(m, "m", 1, SAMPLE_MAX_M, "sample_partition")
     theta = _finite(theta, "theta")
     if theta <= 0:
         raise ValueError(f"theta must be > 0, got {theta}")
@@ -379,8 +378,7 @@ def good_probability_mc(m: int, c: float, samples: int, seed: int) -> SampleRepo
     f-threshold test runs in log space; a sample inside the 1e-9 guard band
     is decided by the exact big-integer test, once per partition class.
     """
-    if (m := _integer(m, "m", 1)) > SAMPLE_MAX_M:
-        raise ResourceLimitError(f"good_probability_mc limited to m <= {SAMPLE_MAX_M}")
+    m = _integer(m, "m", 1, SAMPLE_MAX_M, "good_probability_mc")
     samples = _integer(samples, "samples", 1)
     cf = _finite(c, "c")
     seed = rng.check_seed(seed)  # before the chunks allocate anything

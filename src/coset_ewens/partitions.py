@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import ResourceLimitError, _integer
+from .errors import _integer
 
 #: enumeration refused above this weight (p(90) > 5*10^7); use counting
 #: or generating-function APIs instead.
@@ -86,10 +86,7 @@ def _zs1(m: int, push: Callable, base: tuple) -> Iterator[tuple]:
     (part, mult).  A step drops the 1s, takes one copy of the smallest part p and
     refills with parts p - 1 and a remainder; only the top changes, so a prefix
     that ``push`` carries costs O(1) work per partition, amortised."""
-    if (m := _integer(m, "m", 0)) > ENUMERATION_MAX_M:
-        raise ResourceLimitError(
-            f"partition enumeration limited to m <= {ENUMERATION_MAX_M} (p({m}) is too "
-            "large to list); use partition_count or the series coefficients instead")
+    m = _integer(m, "m", 0, ENUMERATION_MAX_M, "partition enumeration")
     fac = {(p, r): math.prod(range(2 * p, 2 * p * r + 1, 2 * p))
            for p in range(1, m + 1) for r in range(1, m // p + 1)}
     stack = [base, push(base, m, 1, 2 * m)] if m else [base]

@@ -146,8 +146,7 @@ def _float_product(betas: Sequence[float], M: int) -> np.ndarray:
     in a row are 0 for every beta (all later u_j are then 0); k L_k = sum_{ij=k}
     j u_j i^{1 - beta j}; n a_n = sum_{k<=n} k L_k a_{n-k}.  Each beta is a row
     reduced along its own axis, without BLAS: its bits do not depend on the grid."""
-    if M > SERIES_MAX_M:
-        raise ResourceLimitError(f"series kernel limited to degree <= {SERIES_MAX_M}")
+    M = _integer(M, "degree", 0, SERIES_MAX_M, "series kernel")
     B = len(betas)
     crev, ju, tmp = (_aligned_zeros((B, M + 1)) for _ in range(3))
     try:
@@ -278,8 +277,7 @@ def _tail_bound(m: int, c: float, name: str, params: Sequence[float],
     per grid point: every prefactor taken before the kernel runs, then one
     kernel call per block of distinct ascending betas."""
     m, c = _integer(m, "m", 1), _finite(c, "c")
-    if len(params) > TAIL_GRID_MAX_POINTS:
-        raise ResourceLimitError(f"tail grids limited to {TAIL_GRID_MAX_POINTS} points")
+    _integer(len(params), "points", 1, TAIL_GRID_MAX_POINTS, "tail grids")
     log_m = math.log(m)
     log_w1 = log_W_one_closed(m)
     try:
@@ -300,8 +298,7 @@ def _tail_bound(m: int, c: float, name: str, params: Sequence[float],
 
 def default_alpha_grid(points: int = 64) -> tuple[float, ...]:
     """``points`` alphas spaced geometrically from 1e-3 to 8."""
-    if (points := _integer(points, "points", 1)) > TAIL_GRID_MAX_POINTS:
-        raise ResourceLimitError(f"tail grids limited to {TAIL_GRID_MAX_POINTS} points")
+    points = _integer(points, "points", 1, TAIL_GRID_MAX_POINTS, "tail grids")
     return tuple(float(a) for a in np.geomspace(1e-3, 8.0, points))
 
 
@@ -389,9 +386,10 @@ def asymptotic_diagnostic(beta: float, m_list: Sequence[int]) -> list[Asymptotic
         raise ValueError("m_list must be nonempty")
     # index at once: only the listed degrees outlive the kernel's buffers
     coeffs = _float_product((beta,), max(m_list))[m_list, 0].tolist()
-    limit = W_at_one(beta).value / 2.0**beta
-    rows = []
-    for m, w in zip(m_list, coeffs):
-        scaled = m**beta * w
-        rows.append(AsymptoticRow(m, scaled, limit, abs(scaled / limit - 1.0)))
-    return rows
+    w1 = W_at_one(beta).value
+    try:
+        limit = w1 / 2.0**beta
+        scaled = [m**beta * w for m, w in zip(m_list, coeffs)]
+    except OverflowError:
+        raise NumericRangeError(f"2^beta or m^beta leaves float64 at beta={beta}") from None
+    return [AsymptoticRow(m, s, limit, abs(s / limit - 1.0)) for m, s in zip(m_list, scaled)]

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -567,6 +568,13 @@ class TestTails:
         assert code == 5
         assert env["error"]["code"] == "numeric_range"
 
+    def test_right_beta_refused_before_the_left_grid_runs(self, capsys, monkeypatch):
+        # t = 1e-320 gives beta = 1.0, outside (0, 1)
+        monkeypatch.setattr(series, "_float_product", fail)
+        code, env = run_json(capsys, ["tails", "100", "2", "--t", "1e-320"])
+        assert code == 2
+        assert env["error"]["code"] == "usage" and "beta=1.0" in env["error"]["message"]
+
 
 class TestSeriesCommand:
     def test_exact_coefficients(self, capsys):
@@ -586,6 +594,15 @@ class TestSeriesCommand:
     def test_cap_exit_4(self, capsys):
         code, env = run_json(capsys, ["series", "1.0", "30000"])
         assert code == 4
+
+    def test_exact_integers_past_int_digit_limit(self, capsys):
+        # beta * M = 3200, at the exact cap: the last denominator has about 5000 digits
+        code, env = run_json(capsys, ["series", "64", "50"])
+        assert code == 0 and env["payload"]["exact"]
+        texts = env["payload"]["coefficients"]
+        assert max(len(t) for t in texts) > 4300
+        parsed = [Fraction(*(int(Decimal(d)) for d in t.split("/"))) for t in texts]
+        assert parsed == series._exact_coeffs(64, 50)
 
     def test_huge_integral_beta_cap_exit_4(self, capsys):
         code, env = run_json(capsys, ["series", "1e300", "5"])
@@ -629,6 +646,17 @@ class TestAsymptotics:
 
     def test_product_overflow_is_numeric_range(self, capsys):
         code, env = run_json(capsys, ["asymptotics", "1.0001", "--m-list", "50"])
+        assert code == 5
+        assert env["error"]["code"] == "numeric_range"
+        assert "payload" not in env
+
+    @pytest.mark.parametrize("argv", [
+        ["800", "--m-list", "5"],     # 5^800
+        ["1025", "--m-list", "1"],    # 2^1025
+        ["1e308", "--m-list", "5"],   # both
+    ])
+    def test_power_overflow_is_numeric_range(self, capsys, argv):
+        code, env = run_json(capsys, ["asymptotics", *argv])
         assert code == 5
         assert env["error"]["code"] == "numeric_range"
         assert "payload" not in env

@@ -8,14 +8,18 @@ names the parameter, never a TypeError or a silent truncation, and a
 numpy integer gives the result of the equal int.  Neither message prints
 the value."""
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from coset_ewens import cli, cosets, ewens, partitions, series
 from coset_ewens import (
     Partition,
+    ResourceLimitError,
     W_at_one,
     W_direct,
     W_one_closed,
@@ -32,10 +36,7 @@ from coset_ewens import (
     good_probability_exact,
     good_probability_mc,
     identity,
-    intersection_subgroup,
-    is_in_H,
     iter_counts,
-    iter_partitions,
     jensen_check,
     left_tail_bound,
     parse_permutation,
@@ -45,8 +46,10 @@ from coset_ewens import (
     right_tail_bound,
     sample_partition,
 )
-from coset_ewens.errors import _finite
+from coset_ewens.cosets import intersection_subgroup, is_in_H
+from coset_ewens.errors import _finite, _integer
 from coset_ewens.ewens import f_leq_threshold
+from coset_ewens.partitions import iter_partitions
 from coset_ewens.rng import uniform01_array
 from coset_ewens.series import (
     W_coefficient,
@@ -232,3 +235,60 @@ def test_integer_checks_keep_their_lower_bounds():
                           (lambda: Partition.from_parts([0]), "part must be >= 1")]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
+
+
+class _Work(Exception):
+    """Raised in place of the work that follows a cap's check."""
+
+
+def _work(*args, **kwargs):
+    raise _Work
+
+
+# cap -> (what, the parameter's name, the cap, a call with x in its place, the
+# (module, attribute) of the first work past the check); the check is
+# errors._integer's, so the cap's message is "<what> limited to <name> <= <cap>"
+INTEGER_CAPS = {
+    "classify": ("classify", "m", cli.CLASSIFY_MAX_M,
+                 lambda x: cli.cmd_classify(SimpleNamespace(perm="()", m=x)),
+                 (cli, "parse_permutation")),
+    "class-table": ("table and double-cosets", "m", cli.CLASS_TABLE_MAX_M,
+                    lambda x: cli._class_table(x), (cli, "_class_rows")),
+    "partition-enumeration": ("partition enumeration", "m", partitions.ENUMERATION_MAX_M,
+                              lambda x: next(partitions._zs1(x, _work, ())), None),
+    "sample_partition": ("sample_partition", "m", ewens.SAMPLE_MAX_M,
+                         lambda x: sample_partition(x, 0.5, 0), (ewens, "_sample_parts_chunk")),
+    "good_probability_mc": ("good_probability_mc", "m", ewens.SAMPLE_MAX_M,
+                            lambda x: good_probability_mc(x, 2, 16, 0), (ewens, "_chunk_hits")),
+    "intersection_subgroup": ("intersection_subgroup", "m", cosets.INTERSECTION_MAX_M,
+                              lambda x: intersection_subgroup(identity(2 * x), x),
+                              (cosets, "_H_array")),
+    "enumerate_double_cosets": ("enumerate_double_cosets", "m", cosets.ORBIT_SWEEP_MAX_M,
+                                enumerate_double_cosets, (cosets, "_matchings")),
+    "series-kernel": ("series kernel", "degree", series.SERIES_MAX_M,
+                      lambda x: W_coefficient(1.5, x), (series, "_aligned_zeros")),
+    "default_alpha_grid": ("tail grids", "points", series.TAIL_GRID_MAX_POINTS,
+                           default_alpha_grid, (np, "geomspace")),
+    "tail-grid-length": ("tail grids", "points", series.TAIL_GRID_MAX_POINTS,
+                         lambda x: left_tail_bound(10, 1.0, [0.5] * x),
+                         (series, "_float_product")),
+}
+
+
+@pytest.mark.parametrize("cap", INTEGER_CAPS)
+def test_integer_cap_accepts_the_cap_and_refuses_one_more_before_any_work(cap, monkeypatch):
+    what, name, most, call, work = INTEGER_CAPS[cap]
+    if work is not None:
+        monkeypatch.setattr(*work, _work)
+    with pytest.raises(_Work):  # the check passed, and the work began
+        call(most)
+    with pytest.raises(ResourceLimitError, match=f"^{re.escape(what)} limited to {name} <= {most}$"):
+        call(most + 1)
+
+
+def test_integer_cap_checks_type_and_lower_bound_first():
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
+        _integer(0, "m", 1, 5, "x")
+    with pytest.raises(ValueError, match="^m must be an integer, got float$"):
+        _integer(6.0, "m", 1, 5, "x")
+    assert _integer(np.int64(5), "m", 1, 5, "x") == 5
