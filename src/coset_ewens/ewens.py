@@ -22,8 +22,8 @@ from .partitions import Partition
 #: 4.15 M (c just below the top class, about 2 s); (2000, 2) is 4 M + 8.7 k
 EXACT_TAIL_WORK = 5_000_000
 #: sampling refused above this m: at the cap a Monte Carlo run or one
-#: sample_partition draw peaks at ~182 MiB (the gap table, which stays
-#: cached, and one build buffer)
+#: sample_partition draw peaks at ~107 MiB max RSS (the gap table, which
+#: stays cached, and its build blocks)
 SAMPLE_MAX_M = 10**7
 
 #: two-sided 95% normal quantile, used by the Wilson score radius
@@ -36,6 +36,8 @@ Z_95 = 1.959963984540054
 _CHUNK = 4096
 _ROUND_SHIFT = 12
 _CHUNK_SHIFT = 40
+#: the gap table is built this many entries at a time
+_GAP_BLOCK = 1 << 16
 
 
 def esf_density(lam: Partition, theta) -> Fraction:
@@ -219,13 +221,15 @@ def _gap_prefix(m: int, theta: float) -> np.ndarray:
     with probability theta/(theta+l-1), position 1 always marked), the
     gap from a mark at i to the next mark satisfies
     log P(no mark in (i, j]) = G[i-1] - G[j-1].  Built in the table's own
-    buffer plus one more of m floats; G[0] is -0.0.
+    buffer plus one block of _GAP_BLOCK floats; G[0] is -0.0.
     """
     G = np.empty(m + 1)
     body = G[1:m]
-    l = np.arange(2, m + 1, dtype=np.float64)
-    np.subtract(np.add(l, theta, out=body), 1.0, out=body)  # (theta + l) - 1.0
-    np.divide(np.subtract(l, 1.0, out=l), body, out=body)
+    for s in range(0, m - 1, _GAP_BLOCK):  # l and its block of body at a time
+        b = body[s:s + _GAP_BLOCK]
+        l = np.arange(s + 2, s + 2 + b.size, dtype=np.float64)
+        np.subtract(np.add(l, theta, out=b), 1.0, out=b)  # (theta + l) - 1.0
+        np.divide(np.subtract(l, 1.0, out=l), b, out=b)
     np.negative(np.cumsum(np.log(body, out=body), out=body), out=body)
     G[0], G[m] = -0.0, np.inf
     G.flags.writeable = False
@@ -259,7 +263,7 @@ def _next_index(G: np.ndarray, q: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _sample_parts_chunk(m: int, theta: float, seed: int, chunk_index: int,
-                        count: int) -> tuple[np.ndarray, np.ndarray]:
+                        count: int, cutoff: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Flat ``(lanes, sizes)`` arrays of the parts of one chunk of samples.
 
     The Feller coupling (Arratia, Barbour & Tavare 2003, section 1.1):
@@ -269,10 +273,15 @@ def _sample_parts_chunk(m: int, theta: float, seed: int, chunk_index: int,
     Inverse-CDF gap sampling skips from one mark to the next, one gap per
     unfinished lane and round.  The tests check the law against the exact
     Ewens law by total variation."""
+    # a finite cutoff also ends a lane once low + log 2(m - nxt) > cutoff,
+    # low the sum of log 2a over its parts a so far, with its rest m - nxt as
+    # one part: every partition that completes it has log f > cutoff, less
+    # rounding, as f >= prod 2a over the parts and 2a 2b >= 2(a + b)
     G = _gap_prefix(m, theta)
     base = chunk_index << _CHUNK_SHIFT
     active = np.arange(count, dtype=np.int64)
     last = np.zeros(count, dtype=np.int64)  # i - 1 for the last mark i of each lane
+    low = np.zeros(count)
     lanes, sizes = [], []
     rnd = 0
     # u = 0 gives the level +inf: no further mark, the lane ends at m
@@ -282,8 +291,15 @@ def _sample_parts_chunk(m: int, theta: float, seed: int, chunk_index: int,
             # the next mark is j + 1 for the first j with G[j] > G[i-1] - log u
             nxt = _next_index(G, np.subtract(G[last], np.log(u, out=u), out=u), theta)
             lanes.append(active)
-            sizes.append(nxt - last)
+            sizes.append(size := nxt - last)
             keep = nxt < m
+            if cutoff < math.inf:
+                low += np.log(2.0 * size)
+                stop = keep & (low + np.log(2.0 * (m - nxt)) > cutoff)
+                lanes.append(active[stop])
+                sizes.append(m - nxt[stop])
+                keep &= ~stop
+                low = low[keep]
             active, last = active[keep], nxt[keep]
             rnd += 1
     return np.concatenate(lanes), np.concatenate(sizes)
@@ -333,8 +349,13 @@ def _chunk_hits(m: int, c, seed: int, chunk_index: int, count: int,
     """Samples of one chunk with f <= m^c: log f is summed per lane, and a
     lane within 1e-9 of c log m is decided exactly by the raw c, once per
     class across chunks (``band`` maps ((size, multiplicity), ...) to the
-    decision)."""
-    lanes, sizes = _sample_parts_chunk(m, 0.5, seed, chunk_index, count)
+    decision).  A lane stops drawing once its f is certainly above m^c."""
+    target = float(c) * math.log(m)  # c may be a Decimal
+    # a lane stops with log f above the cutoff, less the log sums' rounding:
+    # n 2^-53 |target| for n <= |target| / log 2 + 1 parts, and a lane can stop
+    # only below log f(1^m) < 1.7e8, so under 3e-8 |target|: a miss, off the band
+    lanes, sizes = _sample_parts_chunk(m, 0.5, seed, chunk_index, count,
+                                       target + 1e-6 * max(1.0, target))
     # one key per distinct (lane, size), the lane above the size's bits, in
     # lane order, with multiplicity r
     bits = m.bit_length()
@@ -343,7 +364,6 @@ def _chunk_hits(m: int, c, seed: int, chunk_index: int, count: int,
     log_fact = np.array([math.lgamma(k + 1) for k in range(int(r.max()) + 1)])
     lf = np.bincount(lanes, weights=r * np.log(2.0 * sizes) + log_fact[r],
                      minlength=count)
-    target = float(c) * math.log(m)  # c may be a Decimal
     near = np.abs(lf - target) < 1e-9
     hits = int(np.count_nonzero(~near & (lf < target)))
     if not near.any():

@@ -200,6 +200,10 @@ class WAtOneResult:
 def _zeta_tail(s: float, N: int) -> tuple[float, float]:
     """sum_{i > N} i^{-s} as (estimate, certified absolute error bound),
     by Euler-Maclaurin with an alternating-remainder bound."""
+    # where N^-s underflows, s^3 N^(-s-3) can be inf * 0; the sum is below
+    # N^(1-s) / (s-1) < N 2^-1074
+    if N ** -s == 0.0:
+        return 0.0, N * 5e-324
     est = N ** (1.0 - s) / (s - 1.0) - 0.5 * N ** (-s) + (s / 12.0) * N ** (-s - 1.0)
     rem = (s * (s + 1.0) * (s + 2.0) / 720.0) * N ** (-s - 3.0)
     return est, rem

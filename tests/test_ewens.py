@@ -538,9 +538,10 @@ class TestSamplePartition:
         assert lam.m == m
 
     def test_cold_draw_memory(self):
-        # a cold draw builds the gap table, m + 1 floats, with one more
-        # buffer of m floats: 15.3 MiB at m = 10^6 (the array pass drew
-        # several arrays of m entries: 30.5 MiB)
+        # a cold draw builds the gap table, m + 1 floats, a block of 2^16
+        # at a time: 8.6 MiB at m = 10^6 (with one more buffer of m floats
+        # it was 15.3 MiB; the array pass drew several arrays of m entries:
+        # 30.5 MiB)
         _gap_prefix.cache_clear()
         tracemalloc.start()
         try:
@@ -548,7 +549,7 @@ class TestSamplePartition:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 2**20
+        assert peak <= 10 * 2**20
 
     def test_seed_range(self):
         sample_partition(30, 0.5, 0)
@@ -682,15 +683,20 @@ class TestGapSampler:
         assert np.bincount(lanes, weights=sizes, minlength=2048).tolist() == [37] * 2048
 
 
+def lane_parts(lanes, sizes, count):
+    """Each lane's parts in draw order."""
+    parts = [[] for _ in range(count)]
+    for lane, size in zip(lanes.tolist(), sizes.tolist()):
+        parts[lane].append(size)
+    return parts
+
+
 @pytest.mark.parametrize("m", [1, 2, 6, 37, 1000, 100000])
 @pytest.mark.parametrize("count", [1, 7, 4096])
 def test_gap_sampler_matches_reference(m, count):
     # sample_partition draws from this sampler at every theta
     for theta, chunk in itertools.product((0.5, 0.25, 1, 3.7), (0, 5, 2**20)):
-        lanes, sizes = _sample_parts_chunk(m, theta, 77, chunk, count)
-        got = [[] for _ in range(count)]
-        for lane, size in zip(lanes.tolist(), sizes.tolist()):
-            got[lane].append(size)
+        got = lane_parts(*_sample_parts_chunk(m, theta, 77, chunk, count), count)
         want = _reference_parts_chunk(m, theta, 77, chunk, count)
         assert [sorted(p) for p in got] == [sorted(p) for p in want], (theta, chunk)
 
@@ -702,7 +708,38 @@ def gap_prefix_oracle(m, theta):
     return -np.concatenate([[0.0], np.cumsum(np.log((l - 1.0) / (theta + l - 1.0)))])
 
 
+def gap_prefix_full_oracle(m, theta):
+    """Oracle: the gap table built in its own buffer with one more of m
+    floats for l, before it was built a block at a time."""
+    G = np.empty(m + 1)
+    body = G[1:m]
+    l = np.arange(2, m + 1, dtype=np.float64)
+    np.subtract(np.add(l, theta, out=body), 1.0, out=body)
+    np.divide(np.subtract(l, 1.0, out=l), body, out=body)
+    np.negative(np.cumsum(np.log(body, out=body), out=body), out=body)
+    G[0], G[m] = -0.0, np.inf
+    return G
+
+
 class TestGapPrefix:
+    # 2^16 + 1 and + 2: one whole block of l, then a block of 0 and of 1
+    @pytest.mark.parametrize("m, theta", [(10**6, 0.5), (12345, 0.25), (70000, 3),
+                                          (1, 0.5), (2, 0.5), (2**16 + 1, 0.5),
+                                          (2**16 + 2, 1.7), (3 * 2**16 + 9, 0.01)])
+    def test_blocks_bit_identical_to_full_build(self, m, theta):
+        assert _gap_prefix(m, theta).tobytes() == gap_prefix_full_oracle(m, theta).tobytes()
+
+    def test_cold_build_memory(self):
+        # the table's 7.6 MiB at m = 10^6 and blocks of 2^16 floats for l
+        _gap_prefix.cache_clear()
+        tracemalloc.start()
+        try:
+            _gap_prefix(10**6, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.8 * 2**20
+
     @pytest.mark.parametrize("theta", [0.01, 0.5, 3.7])
     def test_bit_identical_to_oracle(self, theta):
         for m in (1, 2, 16, 1000, 10**5):
@@ -770,13 +807,20 @@ C96 = math.log(96) / math.log(8)
 
 
 # (8, C96): the classes 1 3 4 and 1^2 6 both have f = 96 = 8^C96, so the
-# band holds keys of several part sizes, one with a multiplicity of 2
-@pytest.mark.parametrize("m, c", [(16, 1.25), (8, 4 / 3), (30, 2.5), (1000, 3), (8, C96)])
+# band holds keys of several part sizes, one with a multiplicity of 2.
+# The oracle never stops a lane early (and takes a float c, as its target
+# multiplies c by a float): from (10^5, 2) on, c <= 0 stops every lane
+# after its first part, c = 1e308 never stops one, c = -1e308 makes the
+# target -inf, and m = 1 has the one class {1}
+@pytest.mark.parametrize("m, c", [(16, 1.25), (8, 4 / 3), (30, 2.5), (1000, 3), (8, C96),
+                                  (10**5, 2), (4, 1.5), (64, 3 / 2), (27, 5 / 3),
+                                  (1000, Decimal("2.5")), (50, -1), (50, 0), (50, 1e308),
+                                  (50, -1e308), (1, 2), (1, -1), (10**6, 2.2)])
 def test_chunk_hits_match_per_lane_oracle(m, c):
     band, oracle_band = {}, {}
     for chunk in (0, 1, 7):
         assert _chunk_hits(m, c, 99, chunk, 4096, band) \
-            == chunk_hits_oracle(m, c, 99, chunk, 4096, oracle_band)
+            == chunk_hits_oracle(m, float(c), 99, chunk, 4096, oracle_band)
     assert band == oracle_band
     if c == C96:
         assert {((1, 1), (3, 1), (4, 1)), ((1, 2), (6, 1))} <= set(band)
@@ -807,6 +851,51 @@ def test_guard_band_decided_once_per_class(monkeypatch):
     # about 9 000 draws of {16} (f = 32 = 16^1.25) land in the band; the
     # exact test runs once per class, and m = 16 has p(16) = 231 classes
     assert 1 <= len(calls) <= 231
+
+
+@pytest.mark.parametrize("m", [1, 2, 37, 1000])
+@pytest.mark.parametrize("cutoff", [-math.inf, 0.0, 3.0, 7.5, 20.0])
+def test_early_stop_closes_a_lane_with_its_rest(m, cutoff):
+    # a stopped lane is the unpruned lane's first k parts and then the rest
+    # of m, and its prod 2a is above e^cutoff; every other lane is unchanged
+    got = lane_parts(*_sample_parts_chunk(m, 0.5, 5, 3, 2048, cutoff), 2048)
+    full = lane_parts(*_sample_parts_chunk(m, 0.5, 5, 3, 2048), 2048)
+    assert [sum(p) for p in got] == [m] * 2048
+    for parts, want in zip(got, full):
+        if parts != want:
+            k = len(parts) - 1
+            assert parts[:k] == want[:k] and parts[k] == sum(want[k:])
+            assert math.fsum(math.log(2 * a) for a in parts) > cutoff
+
+
+def count_draws(monkeypatch) -> list[int]:
+    """Draws the sampler makes, through ``rng.uniform01_array`` as ewens
+    reads it, one entry per call."""
+    draws, uniform = [], rng.uniform01_array
+
+    def counting(seed, indices):
+        draws.append(indices.size)
+        return uniform(seed, indices)
+
+    monkeypatch.setattr(ewens.rng, "uniform01_array", counting)
+    return draws
+
+
+def test_early_stop_one_draw_a_sample_at_16_1_25(monkeypatch):
+    # a first part a < 16 leaves f >= 4a(16 - a) >= 60 > 32 = 16^1.25
+    draws = count_draws(monkeypatch)
+    good_probability_mc(16, 1.25, 10000, 11)
+    assert sum(draws) == 10000
+
+
+def test_early_stop_work_at_1e5_2(monkeypatch):
+    draws = count_draws(monkeypatch)
+    good_probability_mc(10**5, 2, 8192, 3)
+    pruned = sum(draws)
+    draws.clear()
+    for chunk in (0, 1):
+        _sample_parts_chunk(10**5, 0.5, 3, chunk, 4096)
+    assert pruned <= 0.6 * sum(draws)
 
 
 class TestGoodProbabilityMC:

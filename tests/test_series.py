@@ -561,6 +561,14 @@ class TestWAtOne:
         with pytest.raises(NumericRangeError):
             W_at_one(1.0001)
 
+    @pytest.mark.parametrize("beta", [120.0, 1e103, 1e200, 1e308])
+    def test_huge_beta_is_finite_and_certified(self, beta):
+        # W - 1 is about 2^-beta: the tail sums underflow, and once
+        # s^3 overflows too they must not give inf * 0 = nan
+        w = W_at_one(beta)
+        assert math.isfinite(w.value) and math.isfinite(w.error_bound)
+        assert abs(w.value - 1.0) + 2 * 2.0**-beta <= w.error_bound
+
 
 def test_zeta_tail_certificate():
     # (3.6, 1000) and (6.0, 1000): S(3 beta) sums of W_at_one, at beta = 1.2 and 2
@@ -574,6 +582,12 @@ def test_zeta_tail_certificate():
         slack = 1e-12 * brute  # the brute sum's own rounding, relative
         assert est <= brute + missing_hi + err + slack
         assert est >= brute + missing_lo - err - slack
+
+
+@pytest.mark.parametrize("s", [110.0, 1e103, 1e308, math.inf])
+def test_zeta_tail_underflow(s):
+    # 1000^-s underflows: the sum is below 1000^(1-s)/(s-1) < 1000 * 2^-1074
+    assert _zeta_tail(s, 1000) == (0.0, 1000 * 2.0**-1074)
 
 
 class TestLeftTailBound:
