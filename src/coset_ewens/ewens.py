@@ -230,6 +230,7 @@ def _gap_prefix(m: int, theta: float) -> np.ndarray:
         l = np.arange(s + 2, s + 2 + b.size, dtype=np.float64)
         np.subtract(np.add(l, theta, out=b), 1.0, out=b)  # (theta + l) - 1.0
         np.divide(np.subtract(l, 1.0, out=l), b, out=b)
+        del l  # so the next block's arange does not overlap this one
     np.negative(np.cumsum(np.log(body, out=body), out=body), out=body)
     G[0], G[m] = -0.0, np.inf
     G.flags.writeable = False
@@ -293,14 +294,12 @@ def _sample_parts_chunk(m: int, theta: float, seed: int, chunk_index: int,
             lanes.append(active)
             sizes.append(size := nxt - last)
             keep = nxt < m
-            if cutoff < math.inf:
-                low += np.log(2.0 * size)
-                stop = keep & (low + np.log(2.0 * (m - nxt)) > cutoff)
-                lanes.append(active[stop])
-                sizes.append(m - nxt[stop])
-                keep &= ~stop
-                low = low[keep]
-            active, last = active[keep], nxt[keep]
+            low += np.log(2.0 * size)
+            stop = keep & (low + np.log(2.0 * (m - nxt)) > cutoff)
+            lanes.append(active[stop])
+            sizes.append(m - nxt[stop])
+            keep &= ~stop
+            active, last, low = active[keep], nxt[keep], low[keep]
             rnd += 1
     return np.concatenate(lanes), np.concatenate(sizes)
 

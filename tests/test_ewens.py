@@ -538,10 +538,10 @@ class TestSamplePartition:
         assert lam.m == m
 
     def test_cold_draw_memory(self):
-        # a cold draw builds the gap table, m + 1 floats, a block of 2^16
-        # at a time: 8.6 MiB at m = 10^6 (with one more buffer of m floats
-        # it was 15.3 MiB; the array pass drew several arrays of m entries:
-        # 30.5 MiB)
+        # a cold draw builds the gap table, 7.6 MiB of m + 1 floats at
+        # m = 10^6, with one block of 2^16 floats for l at a time: 8.1 MiB
+        # (with one more buffer of m floats it was 15.3 MiB; the array pass
+        # drew several arrays of m entries: 30.5 MiB)
         _gap_prefix.cache_clear()
         tracemalloc.start()
         try:
@@ -549,7 +549,7 @@ class TestSamplePartition:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * 2**20
+        assert peak <= 8.8 * 2**20
 
     def test_seed_range(self):
         sample_partition(30, 0.5, 0)
@@ -728,17 +728,6 @@ class TestGapPrefix:
                                           (2**16 + 2, 1.7), (3 * 2**16 + 9, 0.01)])
     def test_blocks_bit_identical_to_full_build(self, m, theta):
         assert _gap_prefix(m, theta).tobytes() == gap_prefix_full_oracle(m, theta).tobytes()
-
-    def test_cold_build_memory(self):
-        # the table's 7.6 MiB at m = 10^6 and blocks of 2^16 floats for l
-        _gap_prefix.cache_clear()
-        tracemalloc.start()
-        try:
-            _gap_prefix(10**6, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8.8 * 2**20
 
     @pytest.mark.parametrize("theta", [0.01, 0.5, 3.7])
     def test_bit_identical_to_oracle(self, theta):
