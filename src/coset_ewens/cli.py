@@ -1,8 +1,8 @@
 """Command-line surface: classification, verification sweeps, probability
 tables, sampling experiments, and series/tail computations.
 
-One JSON envelope per invocation on stdout (or --out); --csv switches
-table-shaped payloads to CSV.  Exit codes: 0 ok, 2 usage error, 3
+One JSON envelope per invocation on stdout (or --out); --csv, on the six
+table commands, gives CSV.  Exit codes: 0 ok, 2 usage error, 3
 verification failure, 4 resource-cap rejection, 5 a result out of float64
 range.
 """
@@ -23,7 +23,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import rng, series as series_mod
+from . import series as series_mod
 from .cosets import (
     INTERSECTION_MAX_M,
     ORBIT_SWEEP_MAX_M,
@@ -69,6 +69,14 @@ def _digits(n: int) -> str:
     return str(Decimal(n))
 
 
+def _list(text: str, kind: type, name: str) -> list:
+    """``text`` as a comma-separated list of ``kind``: an empty list or entry is a usage error."""
+    try:
+        return [kind(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{name} must be comma-separated {kind.__name__}s, none empty") from None
+
+
 def _finite_float(text: str) -> float:
     """argparse type for float arguments: nan and +-inf are usage errors."""
     try:
@@ -92,8 +100,7 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    if (m := _integer(args.m, "m", 1)) > INTERSECTION_MAX_M:
-        raise ValueError(f"verify is limited to m <= {INTERSECTION_MAX_M}")
+    m = _integer(args.m, "m", 1, INTERSECTION_MAX_M, "verify")
     lams = enumerate_partitions(m)
     sizes = [double_coset_size(lam, m) for lam in lams]
     classes = []
@@ -173,12 +180,15 @@ def cmd_sample(args) -> dict:
 
 def cmd_tails(args) -> dict:
     m, c = args.m, args.c
-    if args.alpha_grid:
-        alphas = [float(t) for t in args.alpha_grid.split(",")]
-    else:
-        alphas = list(series_mod.default_alpha_grid(args.alpha_points))
+    alphas = None  # an option left out is None: the library's default applies
+    if args.alpha_grid is not None:
+        alphas = _list(args.alpha_grid, float, "--alpha-grid")
+    elif args.alpha_points is not None:
+        alphas = series_mod.default_alpha_grid(args.alpha_points)
     # the right tail's one kernel column first, so that its beta is refused before the grid runs
-    beta = args.beta if args.beta is not None else series_mod.default_right_beta(m, args.t)
+    if (beta := args.beta) is None:
+        beta = (series_mod.default_right_beta(m) if args.t is None
+                else series_mod.default_right_beta(m, args.t))
     right = series_mod.right_tail_bound(m, c, beta)
     left = series_mod.left_tail_bound(m, c, alphas)
     return {
@@ -201,8 +211,7 @@ def cmd_series(args) -> dict:
 
 
 def cmd_asymptotics(args) -> dict:
-    m_list = [int(t) for t in args.m_list.split(",") if t.strip()]
-    rows = series_mod.asymptotic_diagnostic(args.beta, m_list)
+    rows = series_mod.asymptotic_diagnostic(args.beta, _list(args.m_list, int, "--m-list"))
     w1 = series_mod.W_at_one(args.beta)
     return {
         "beta": args.beta,
@@ -281,21 +290,18 @@ def _csv(table: _Table) -> Iterator[str]:
     yield "\n"
 
 
-def _payload_csv(command: str, p: dict) -> Iterator[str] | None:
-    if command in ("table", "double-cosets"):
-        return _csv(p["rows" if command == "table" else "classes"])
-    if command == "sample":
-        fields = ("m", "c", "samples", "frequency", "wilson_radius_95", "seed")
-        return _csv(_Table(fields, [tuple(p[k] for k in fields)]))
-    if command == "series":
-        return _csv(_Table(("m", "coefficient"), enumerate(p["coefficients"])))
-    if command == "asymptotics":
-        return _csv(_Table(("m", "scaled", "limit", "relative_deviation"),
-                           [(r["m"], r["scaled"], p["limit"], r["relative_deviation"])
-                            for r in p["rows"]]))
-    if command == "tails":
-        return _csv(_Table(("alpha", "left_bound"), p["left"]["grid"]))
-    return None
+# the six commands with a CSV form, each with the table of its payload that it writes:
+# build_parser gives --csv to these alone
+_CSV_TABLES: dict[str, Callable[[dict], _Table]] = {
+    "table": lambda p: p["rows"],
+    "double-cosets": lambda p: p["classes"],
+    "sample": lambda p: _Table(tuple(p), [tuple(p.values())]),
+    "series": lambda p: _Table(("m", "coefficient"), enumerate(p["coefficients"])),
+    "asymptotics": lambda p: _Table(("m", "scaled", "limit", "relative_deviation"),
+                                    [(r["m"], r["scaled"], p["limit"], r["relative_deviation"])
+                                     for r in p["rows"]]),
+    "tails": lambda p: _Table(("alpha", "left_bound"), p["left"]["grid"]),
+}
 
 
 def _write(pieces: list, fh) -> None:
@@ -313,68 +319,58 @@ def _write(pieces: list, fh) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first call and shared by
     every later ``main``: do not mutate it.  A parse keeps no state in it."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    common.add_argument("--out", type=str, default=None, help="write output to file")
-    common.add_argument("--csv", action="store_true", help="emit tables as CSV")
-
     parser = argparse.ArgumentParser(prog="coset-ewens", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="classify a permutation of S_2m into its double coset")
+    def command(name: str, func: Callable, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--out", type=str, default=None, help="write output to file")
+        if name in _CSV_TABLES:
+            p.add_argument("--csv", action="store_true", help="emit the table as CSV")
+        # argparse would take "-1e3" for an option
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        return p
+
+    p = command("classify", cmd_classify, "classify a permutation of S_2m into its double coset")
     p.add_argument("perm", help='permutation text, e.g. "(1 3)" or "[3,4,1,2]"')
     p.add_argument("m", type=int)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help=f"brute-force verification sweep for one m (m <= {INTERSECTION_MAX_M})")
+    p = command("verify", cmd_verify,
+                f"brute-force verification sweep for one m (m <= {INTERSECTION_MAX_M})")
     p.add_argument("m", type=int)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("double-cosets", parents=[common],
-                       help="per-class classification table for one m")
+    p = command("double-cosets", cmd_double_cosets, "per-class classification table for one m")
     p.add_argument("m", type=int)
-    p.set_defaults(func=cmd_double_cosets)
 
-    p = sub.add_parser("table", parents=[common],
-                       help="exact class probability table for one m")
+    p = command("table", cmd_table, "exact class probability table for one m")
     p.add_argument("m", type=int)
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("sample", parents=[common],
-                       help="Monte Carlo estimate of P(f <= m^c)")
+    p = command("sample", cmd_sample, "Monte Carlo estimate of P(f <= m^c)")
     p.add_argument("m", type=int)
     p.add_argument("c", type=_finite_float)
     p.add_argument("samples", type=int)
-    p.set_defaults(func=cmd_sample)
+    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
 
-    p = sub.add_parser("tails", parents=[common],
-                       help="moment bounds for the two tails at (m, c)")
+    p = command("tails", cmd_tails, "moment bounds for the two tails at (m, c)")
     p.add_argument("m", type=int)
     p.add_argument("c", type=_finite_float)
-    p.add_argument("--alpha-grid", type=str, default=None,
-                   help="comma-separated alpha grid for the left bound")
-    p.add_argument("--alpha-points", type=int, default=64)
-    p.add_argument("--beta", type=_finite_float, default=None,
-                   help="right-tail beta in (0,1); default 1 - t/(log m)^2")
-    p.add_argument("--t", type=_finite_float, default=1.0)
-    p.set_defaults(func=cmd_tails)
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--alpha-grid", type=str, default=None,
+                      help="comma-separated alpha grid for the left bound")
+    grid.add_argument("--alpha-points", type=int, default=None)
+    right = p.add_mutually_exclusive_group()
+    right.add_argument("--beta", type=_finite_float, default=None,
+                       help="right-tail beta in (0,1); default 1 - t/(log m)^2")
+    right.add_argument("--t", type=_finite_float, default=None)
 
-    p = sub.add_parser("series", parents=[common],
-                       help="coefficients of the weighted-sum generating function")
+    p = command("series", cmd_series, "coefficients of the weighted-sum generating function")
     p.add_argument("beta", type=_finite_float)
     p.add_argument("max_degree", type=int)
-    p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("asymptotics", parents=[common],
-                       help="convergence diagnostic for beta > 1")
+    p = command("asymptotics", cmd_asymptotics, "convergence diagnostic for beta > 1")
     p.add_argument("beta", type=_finite_float)
-    p.add_argument("--m-list", type=str, required=True,
-                   help="comma-separated m values")
-    p.set_defaults(func=cmd_asymptotics)
-    for p in sub.choices.values():  # argparse would take "-1e3" for an option
-        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    p.add_argument("--m-list", type=str, required=True, help="comma-separated m values")
     return parser
 
 
@@ -410,12 +406,11 @@ def main(argv: list[str] | None = None) -> int:
     with out as fh:
         # every cap and check raises here, before the first byte is written
         try:
-            rng.check_seed(args.seed)
             payload = args.func(args)
-            csv = _payload_csv(args.command, payload) if args.csv else None
             # allow_nan=False: a non-finite float in a payload becomes a usage
             # envelope instead of invalid JSON
-            pieces = [csv] if csv is not None else envelope("ok", payload=payload)
+            pieces = ([_csv(_CSV_TABLES[args.command](payload))] if getattr(args, "csv", False)
+                      else envelope("ok", payload=payload))
             status = EXIT_OK
         except VerificationFailure as exc:
             pieces, status = fail("verification_failed", exc), EXIT_VERIFY_FAILED

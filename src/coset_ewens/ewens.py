@@ -80,8 +80,8 @@ _EXACT_POW_BIT_LIMIT = 2_000_000
 def f_leq_threshold(f: int, m: int, c) -> bool:
     """Decide f <= m^c without the predicate ever flipping due to rounding.
 
-    When c is (or converts exactly to) a rational p/q with small q, the
-    comparison is done on integers as f^q <= m^p.  Otherwise a float
+    When c = p/q in lowest terms gives f^q and m^p within the bit limit,
+    the comparison is done on integers as f^q <= m^p.  Otherwise a float
     log comparison decides, escalating to 50-digit decimal logarithms
     inside a 1e-9 guard band.
     """
@@ -90,8 +90,7 @@ def f_leq_threshold(f: int, m: int, c) -> bool:
     if cf <= 0:
         return f <= 1
     p, q = cf.numerator, cf.denominator
-    if q <= 64 and q * f.bit_length() <= _EXACT_POW_BIT_LIMIT \
-            and p * m.bit_length() <= _EXACT_POW_BIT_LIMIT:
+    if q * f.bit_length() <= _EXACT_POW_BIT_LIMIT and p * m.bit_length() <= _EXACT_POW_BIT_LIMIT:
         return f**q <= m**p
     lf = math.log(f)
     lt = float(cf) * math.log(m)

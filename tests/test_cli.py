@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import io
@@ -112,7 +113,7 @@ CLASS_TABLES = {
 
 def oracle_json(command, m):
     """The whole envelope of ``command m`` as one json.dumps, ``elapsed_ms`` 0."""
-    env = {"command": command, "parameters": {"seed": 0, "m": m}, "status": "ok",
+    env = {"command": command, "parameters": {"m": m}, "status": "ok",
            "payload": CLASS_TABLES[command][0](m), "elapsed_ms": 0}
     return json.dumps(env, allow_nan=False) + "\n"
 
@@ -206,9 +207,10 @@ class TestVerify:
         orders = sorted(int(c["brute_force_order"]) for c in env["payload"]["classes"])
         assert orders == [8, 12, 32, 32, 384]
 
-    def test_m_too_large_exit_2(self, capsys):
+    def test_m_too_large_exit_4(self, capsys):
         code, env = run_json(capsys, ["verify", "6"])
-        assert code == 2
+        assert code == 4
+        assert env["error"] == {"code": "resource_cap", "message": "verify limited to m <= 5"}
 
     @pytest.mark.parametrize("m", ["0", "-1"])
     def test_m_below_one_exit_2_one_message(self, capsys, m):
@@ -389,7 +391,7 @@ def oracle_small_csv(command, payload):
     """CSV of the four one-shot commands from their JSON payload, by the rule
     of the writer the row template replaced: a float as ``.17g``, else str."""
     if command == "sample":
-        fields = ["m", "c", "samples", "frequency", "wilson_radius_95", "seed"]
+        fields = ["m", "c", "samples", "hits", "frequency", "wilson_radius_95", "seed"]
         rows = [[payload[f] for f in fields]]
     elif command == "series":
         fields, rows = ["m", "coefficient"], list(enumerate(payload["coefficients"]))
@@ -459,8 +461,8 @@ class TestSample:
         code, out = run(capsys, ["sample", "100", "2", "1000", "--seed", "3", "--csv"])
         assert code == 0
         header, row = out.strip().split("\n")
-        assert header == "m,c,samples,frequency,wilson_radius_95,seed"
-        assert row.split(",")[0] == "100"
+        assert header == "m,c,samples,hits,frequency,wilson_radius_95,seed"
+        assert row.split(",")[:4] == ["100", "2", "1000", "393"]
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -531,6 +533,87 @@ class TestCommonFlags:
         code, env = run_json(capsys, ["tails", "100", "2", "--alpha-grid", f"1,{value}"])
         assert code == 2
         assert env["error"]["code"] == "usage"
+
+
+class TestFlagsWhereTheyAct:
+    """Each option exists only on the commands where it acts, and no option
+    silently beats another."""
+
+    def test_flag_table(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: sorted(o for a in p._actions for o in a.option_strings
+                              if o not in ("-h", "--help"))
+                 for name, p in sub.choices.items()}
+        assert flags == {
+            "classify": ["--out"],
+            "verify": ["--out"],
+            "double-cosets": ["--csv", "--out"],
+            "table": ["--csv", "--out"],
+            "sample": ["--csv", "--out", "--seed"],
+            "tails": ["--alpha-grid", "--alpha-points", "--beta", "--csv", "--out", "--t"],
+            "series": ["--csv", "--out"],
+            "asymptotics": ["--csv", "--m-list", "--out"],
+        }
+        assert sum(map(len, flags.values())) == 20
+        tails = sub.choices["tails"]
+        assert [[a.dest for a in g._group_actions] for g in tails._mutually_exclusive_groups] \
+            == [["alpha_grid", "alpha_points"], ["beta", "t"]]
+        # a default other than None would let argparse pass "--alpha-grid 1 --alpha-points 64"
+        assert all(a.default is None for g in tails._mutually_exclusive_groups
+                   for a in g._group_actions)
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "3", "--seed", "9"],
+        ["verify", "2", "--csv"],
+        ["classify", "()", "2", "--csv"],
+        ["classify", "()", "2", "--seed", "1"],
+        ["tails", "5", "2", "--alpha-grid", "1", "--alpha-points", "64"],
+        ["tails", "50", "2", "--beta", "0.5", "--t", "3"],
+        ["tails", "50", "2", "--t", "1", "--beta", "0.5"],
+    ])
+    def test_flag_where_it_does_not_act_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["tails", "5", "2", "--alpha-grid", ""],
+        ["tails", "5", "2", "--alpha-grid", "1,,2"],
+        ["tails", "5", "2", "--alpha-grid", "1, "],
+        ["asymptotics", "1.2", "--m-list", ""],
+        ["asymptotics", "1.2", "--m-list", "1,,2"],
+        ["asymptotics", "1.2", "--m-list", ",5"],
+    ])
+    def test_empty_list_or_entry_exit_2(self, capsys, argv):
+        code, env = run_json(capsys, argv)
+        assert code == 2
+        assert env["error"] == {"code": "usage",
+                                "message": f"{argv[-2]} must be comma-separated "
+                                           f"{'floats' if argv[0] == 'tails' else 'ints'}, "
+                                           "none empty"}
+
+    @pytest.mark.parametrize("argv, params", [
+        (["table", "3"], {"m": 3}),
+        (["sample", "10", "2", "100"], {"m": 10, "c": 2.0, "samples": 100, "seed": 0}),
+        (["tails", "100", "2"], {"m": 100, "c": 2.0}),
+        (["tails", "100", "2", "--alpha-points", "8", "--t", "2"],
+         {"m": 100, "c": 2.0, "alpha_points": 8, "t": 2.0}),
+        (["tails", "100", "2", "--alpha-grid", "0.5,1", "--beta", "0.5"],
+         {"m": 100, "c": 2.0, "alpha_grid": "0.5,1", "beta": 0.5}),
+    ])
+    def test_parameters_echo_only_what_took_effect(self, capsys, argv, params):
+        code, env = run_json(capsys, argv)
+        assert code == 0 and env["parameters"] == params
+
+    def test_default_grid_and_t_are_the_libraries(self, capsys):
+        # leaving both options of a pair out gives the same payload as the library's defaults
+        code, env = run_json(capsys, ["tails", "100", "2"])
+        code_given, env_given = run_json(capsys, ["tails", "100", "2", "--alpha-points", "64",
+                                                  "--t", "1"])
+        assert code == code_given == 0 and env["payload"] == env_given["payload"]
+        assert len(env["payload"]["left"]["grid"]) == 64
 
 
 class TestTails:
@@ -682,25 +765,60 @@ def _ints(lo, hi):
 _FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats()).map(repr)
 _ALPHA_GRIDS = st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                         min_size=1, max_size=70).map(lambda xs: ",".join(map(repr, xs)))
+# valid lists, and lists with empty, padded, negative and non-integer entries
+_M_LISTS = st.one_of(
+    st.lists(_ints(1, 300), min_size=1, max_size=4).map(",".join),
+    st.lists(st.sampled_from(["", " ", "1", "50", " 3", "-1", "0", "1.5"]),
+             min_size=1, max_size=4).map(",".join))
+_PERMS = st.one_of(st.sampled_from(["()", "(1 3)", "(1 2)(3 4)", "[3,4,1,2]", "(1 99)", "[1,1]"]),
+                   st.text("()[], 0123456789", max_size=16))
+_PAIRS = st.sampled_from([[], ["--alpha-grid", "1,2", "--alpha-points", "4"],
+                          ["--beta", "0.5", "--t", "1"]])
 _ARGV = st.one_of(
+    st.tuples(st.just("classify"), _PERMS, _ints(-1, 8)),
+    st.tuples(st.just("verify"), st.sampled_from(["-1", "0", "1", "2", "3", "4", "6"])),
+    st.tuples(st.sampled_from(["table", "double-cosets"]),
+              st.one_of(_ints(-2, 12), st.just(str(cli.CLASS_TABLE_MAX_M + 1)))),
     st.tuples(st.just("sample"), _ints(-2, 60), _FLOATS, _ints(-1, 200)),
     st.tuples(st.just("tails"), _ints(-2, 60), _FLOATS, st.just("--alpha-points"),
               _ints(-1, 8), st.sampled_from(["--beta", "--t"]), _FLOATS),
     st.tuples(st.just("tails"), _ints(-2, 300), st.one_of(_FLOATS, st.floats(-4, 4).map(repr)),
               st.just("--alpha-grid"), _ALPHA_GRIDS),
+    st.tuples(st.just("tails"), _ints(3, 60), st.just("2"), _PAIRS),
     st.tuples(st.just("series"), _FLOATS, _ints(-1, 60)),
+    st.tuples(st.just("asymptotics"), st.one_of(_FLOATS, st.floats(1, 3).map(repr)),
+              st.just("--m-list"), _M_LISTS),
 )
+# every option on every command, so that each command also meets the ones it lacks
+_FLAGS = st.lists(st.sampled_from([("--csv",), ("--out",), ("--seed", "3")]), max_size=2, unique=True)
 
 
-@settings(max_examples=200, deadline=None)
-@given(_ARGV)
-def test_any_argv_ends_in_strict_json_or_usage_exit(argv):
-    out = io.StringIO()
+def _is_csv(text):
+    lines = text.split("\n")
+    return text.endswith("\n") and len({line.count(",") for line in lines[:-1]}) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV, _FLAGS)
+def test_any_argv_ends_in_strict_json_or_usage_exit(tmp_path_factory, argv, flags):
+    argv = [a for arg in argv for a in ([arg] if isinstance(arg, str) else arg)]
+    path = tmp_path_factory.getbasetemp() / "argv_out.txt"
+    for flag in flags:
+        argv += [*flag, str(path)] if flag == ("--out",) else flag
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(list(argv))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
     except SystemExit as exc:  # argparse rejected the argv
-        assert exc.code == 2
+        assert exc.code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("usage: ")
         return
-    assert code in (0, 2, 3, 4, 5)
-    json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert code in (0, 2, 3, 4, 5) and err.getvalue() == ""
+    text = out.getvalue()
+    if ("--out",) in flags:
+        assert text == ""
+        text = path.read_text()
+    if ("--csv",) in flags and code == 0:
+        assert _is_csv(text), text[:200]
+    else:
+        json.loads(text, parse_constant=_reject_constant)  # one envelope: raises on anything after it

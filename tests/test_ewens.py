@@ -131,6 +131,12 @@ class TestThreshold:
         assert f_leq_threshold(10, 10, 1.0000001)
         assert not f_leq_threshold(11, 10, 1.0000001)
 
+    @pytest.mark.parametrize("f, q", [(2, 65), (5, 65), (7, 65), (7, 67), (7, 70)])
+    def test_exact_tie_with_denominator_above_64(self, f, q):
+        # f = (f^q)^(1/q) exactly: 50-digit logarithms rounded these ties the wrong way
+        assert f_leq_threshold(f, f**q, Fraction(1, q))
+        assert not f_leq_threshold(f + 1, f**q, Fraction(1, q))
+
     def test_agrees_with_float_logs_away_from_boundary(self):
         import random
         rng = random.Random(2)
