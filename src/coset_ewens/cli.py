@@ -63,6 +63,11 @@ class VerificationFailure(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # argparse's refusals get a usage envelope too; -h exits 0
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _digits(n: int) -> str:
     """The decimal digits of n.  str(int) stops at the interpreter's 4300-digit limit,
     str(Decimal) does not: coset_size has ~5700 digits at m = 1000."""
@@ -319,7 +324,7 @@ def _write(pieces: list, fh) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first call and shared by
     every later ``main``: do not mutate it.  A parse keeps no state in it."""
-    parser = argparse.ArgumentParser(prog="coset-ewens", description=__doc__)
+    parser = _Parser(prog="coset-ewens", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, func: Callable, help: str) -> argparse.ArgumentParser:
@@ -375,18 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "command", "out", "csv") and v is not None}
     start = time.monotonic()
+    args, params = argparse.Namespace(command=None), {}  # params only once the parse succeeds
 
     def envelope(status: str, payload=None, error=None) -> list:
-        env = {
-            "command": args.command,
-            "parameters": params,
-            "status": status,
-        }
+        env = {"command": args.command, "parameters": params, "status": status}
         if payload is not None:
             env["payload"] = payload
         if error is not None:
@@ -397,6 +395,13 @@ def main(argv: list[str] | None = None) -> int:
     def fail(code: str, exc: Exception) -> list:
         return envelope("error", error={"code": code, "message": str(exc)})
 
+    try:
+        build_parser().parse_args(argv, args)
+    except ValueError as exc:  # _Parser.error: the command named, if any, and no parameters
+        _write(fail("usage", exc), sys.stdout)
+        return EXIT_USAGE
+    params.update((k, v) for k, v in vars(args).items()
+                  if k not in ("func", "command", "out", "csv") and v is not None)
     # --out is opened before the work, so that a path it cannot write loses none
     try:
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)

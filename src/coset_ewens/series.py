@@ -24,7 +24,7 @@ from .errors import NumericRangeError, ResourceLimitError, _finite, _integer
 
 SERIES_EXACT_MAX_M = 200
 # exact integers grow like beta * M * log2(2M) bits; beta = 16 at M = 200
-# takes about 5 s (2-core Xeon), and an unbounded beta would exhaust memory
+# takes about 3 s (2-core Xeon), and an unbounded beta would exhaust memory
 SERIES_EXACT_MAX_BETA_M = 3200
 SERIES_MAX_M = 20000
 _BLOCK = 64  # float kernel columns per call: bounds a long grid's working set
@@ -107,20 +107,22 @@ def W_series_coeffs(beta, M: int) -> TruncatedSeries:
 
 
 def _exact_coeffs(beta: int, M: int) -> list[Fraction]:
-    # a[n] = (2^n n!)^beta W(beta, n) is an integer (f(lam) divides 2^n n!),
-    # and so is each factor's multiplier: no gcd until the final division
-    a = [0] * (M + 1)
+    # a[n] = (2^n n!)^beta W(beta, n) is an integer (f(lam) divides 2^n n!), and so
+    # is each multiplier (C(d+s, s) w)^beta: no gcd until the final division
+    fact = [math.factorial(n) for n in range(M + 1)]
+    diag = [np.ones(M + 1, dtype=object)]  # diag[s][d] = C(d+s, s), by Pascal's rule
+    for s in range(1, M + 1):
+        diag.append(np.cumsum(diag[-1][:M - s + 1]))
+    diag = diag if beta == 1 else [d ** beta for d in diag]
+    a = np.zeros(M + 1, dtype=object)
     a[0] = 1
     for i in range(1, M + 1):
-        new = list(a)
-        for j in range(1, M // i + 1):
-            step = i * j
-            w = math.factorial(step) // (math.factorial(j) * i**j) << (step - j)
-            for d in range(M - step + 1):
-                if a[d]:
-                    new[d + step] += a[d] * (math.comb(d + step, d) * w) ** beta
+        new = a.copy()
+        for j in range(1, M // i + 1):  # the term z^s of factor i, s = i j, on every d at once
+            s = i * j
+            new[s:] += a[:M - s + 1] * diag[s] * (fact[s] // (fact[j] * i**j) << (s - j)) ** beta
         a = new
-    return [Fraction(a[n], (2**n * math.factorial(n)) ** beta) for n in range(M + 1)]
+    return [Fraction(a[n], (2**n * fact[n]) ** beta) for n in range(M + 1)]
 
 
 _SERIES_RANGE = "series coefficients through degree {} are out of float64 range"
@@ -155,30 +157,32 @@ def _float_product(betas: Sequence[float], M: int) -> np.ndarray:
                                       for b in betas]):
             crev[:, M - jc] = row
             jc += 1
-        J = zeros = 0  # ju[:, j] = j u_j
+        # one beta runs on 1-D views of its rows: the same pairwise sums, less overhead a step
+        crev, ju, tmp = (x[0] if B == 1 else x for x in (crev, ju, tmp))
+        J = zeros = 0  # ju[..., j] = j u_j
         while J < M and zeros < jc - 1:
             J += 1
-            np.multiply(ju[:, 1:J], crev[:, M - J + 1:M], out=tmp[:, :J - 1])
-            ju[:, J] = J * crev[:, M - J] - tmp[:, :J - 1].sum(axis=1)
-            zeros = 0 if ju[:, J].any() else zeros + 1
+            np.multiply(ju[..., 1:J], crev[..., M - J + 1:M], out=tmp[..., :J - 1])
+            ju[..., J] = J * crev[..., M - J] - np.add.reduce(tmp[..., :J - 1], -1)
+            zeros = 0 if ju[..., J].any() else zeros + 1
         kL = crev  # the spent buffers are reused
         kL.fill(0.0)
         for j in range(1, J - zeros + 1):
             n = M // j
-            w = np.fromiter(chain.from_iterable(map(math.pow, range(1, n + 1), repeat(1.0 - b * j))
-                                                for b in betas), float, B * n).reshape(B, n)
-            w *= ju[:, j, None]  # in place, to hold no second (B, n) array
-            kL[:, j::j] += w
+            pows = (map(math.pow, range(1, n + 1), repeat(1.0 - b * j)) for b in betas)
+            w = np.fromiter(chain.from_iterable(pows), float, B * n).reshape(*kL.shape[:-1], n)
+            w *= ju[..., j, None]  # in place, to hold no second (B, n) array
+            kL[..., j::j] += w
     except OverflowError:
         raise NumericRangeError(_SERIES_RANGE.format(M)) from None
-    rev = ju  # rev[:, M - n] = a_n, written before it is read
-    rev[:, M] = 1.0
+    rev = ju  # rev[..., M - n] = a_n, written before it is read
+    rev[..., M] = 1.0
     for n in range(1, M + 1):
-        np.multiply(kL[:, 1:n + 1], rev[:, M - n + 1:], out=tmp[:, :n])
-        rev[:, M - n] = tmp[:, :n].sum(axis=1) / n
+        np.multiply(kL[..., 1:n + 1], rev[..., M - n + 1:], out=tmp[..., :n])
+        rev[..., M - n] = np.add.reduce(tmp[..., :n], -1) / n
     if not np.isfinite(rev).all():
         raise NumericRangeError(_SERIES_RANGE.format(M))
-    return rev[:, ::-1].T
+    return rev.reshape(B, M + 1)[:, ::-1].T
 
 
 # bench/tracer.py wraps this name by getattr: keep it until the tracer changes (ROADMAP 2(c))

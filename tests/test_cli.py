@@ -483,9 +483,10 @@ class TestSample:
         assert env["payload"]["m"] == 10**7
 
     def test_threads_flag_is_unknown(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sample", "50", "2", "100", "--threads", "4"])
-        assert exc.value.code == 2
+        code, env = run_json(capsys, ["sample", "50", "2", "100", "--threads", "4"])
+        assert code == 2
+        assert env["error"] == {"code": "usage",
+                                "message": "coset-ewens: unrecognized arguments: --threads 4"}
 
 
 class TestCommonFlags:
@@ -510,10 +511,11 @@ class TestCommonFlags:
         ["asymptotics", "{}", "--m-list", "50"],
     ])
     def test_non_finite_float_exit_2(self, capsys, argv, value):
-        with pytest.raises(SystemExit) as exc:
-            main([a.format(value) for a in argv])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        code, out = run(capsys, [a.format(value) for a in argv])
+        env = json.loads(out)
+        assert code == 2 and env["status"] == "error" and env["error"]["code"] == "usage"
+        assert f"expected a finite number, got '{value}'" in env["error"]["message"]
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("e_form, plain, argv", [
         ("-1e0", "-1", ["sample", "50", "{}", "100"]),
@@ -573,10 +575,40 @@ class TestFlagsWhereTheyAct:
         ["tails", "50", "2", "--t", "1", "--beta", "0.5"],
     ])
     def test_flag_where_it_does_not_act_exit_2(self, capsys, argv):
+        code, out = run(capsys, argv)
+        assert code == 2 and capsys.readouterr().err == ""
+        # one usage envelope on stdout, naming the command and echoing no parameters
+        env = json.loads(out)
+        assert (env["command"], env["parameters"], env["status"], env["error"]["code"]) \
+            == (argv[0], {}, "error", "usage")
+        assert list(env) == ["command", "parameters", "status", "error", "elapsed_ms"]
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "coset-ewens: the following arguments are required: command"),
+        (["frob"], "coset-ewens: argument command: invalid choice: 'frob'"),
+        (["table"], "coset-ewens table: the following arguments are required: m"),
+        (["table", "x"], "coset-ewens table: argument m: invalid int value: 'x'"),
+        (["table", "3", "--seed", "9"], "coset-ewens: unrecognized arguments: --seed 9"),
+        (["table", "3", "--out"], "coset-ewens table: argument --out: expected one argument"),
+    ])
+    def test_argparse_refusal_is_one_usage_envelope(self, capsys, argv, message):
+        code, out = run(capsys, argv)
+        env = json.loads(out)
+        assert code == 2 and env["error"]["code"] == "usage"
+        assert env["error"]["message"].startswith(message)
+        assert env["command"] == (argv[0] if argv[:1] == ["table"] else None)
+
+    def test_refused_argv_answers_on_stdout_not_out(self, capsys, tmp_path):
+        # --out is not read from an argv that argparse refuses
+        path = tmp_path / "out.json"
+        code, out = run(capsys, ["table", "3", "--seed", "9", "--out", str(path)])
+        assert code == 2 and json.loads(out)["status"] == "error" and not path.exists()
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+            main(["table", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: coset-ewens table")
 
     @pytest.mark.parametrize("argv", [
         ["tails", "5", "2", "--alpha-grid", ""],
@@ -806,19 +838,18 @@ def test_any_argv_ends_in_strict_json_or_usage_exit(tmp_path_factory, argv, flag
     for flag in flags:
         argv += [*flag, str(path)] if flag == ("--out",) else flag
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    except SystemExit as exc:  # argparse rejected the argv
-        assert exc.code == 2 and out.getvalue() == ""
-        assert err.getvalue().startswith("usage: ")
-        return
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # argparse's refusals too: no SystemExit
     assert code in (0, 2, 3, 4, 5) and err.getvalue() == ""
     text = out.getvalue()
-    if ("--out",) in flags:
+    # an argv that argparse refuses is answered on stdout: its --out was never read
+    refused = code == 2 and text != "" and json.loads(text)["parameters"] == {}
+    if ("--out",) in flags and not refused:
         assert text == ""
         text = path.read_text()
     if ("--csv",) in flags and code == 0:
         assert _is_csv(text), text[:200]
     else:
-        json.loads(text, parse_constant=_reject_constant)  # one envelope: raises on anything after it
+        # one envelope: raises on anything after it
+        env = json.loads(text, parse_constant=_reject_constant)
+        assert env["command"] == argv[0] and (code == 0) == (env["status"] == "ok")

@@ -39,6 +39,9 @@ COMMANDS = [
     'classify "(1 3 5)(2 8)(10 12 14 16)" 1000',
     "double-cosets 0",
     "verify 5",
+    "series 1 200",
+    "series 1.5 20000",
+    "asymptotics 1.2 --m-list 200,2000,20000",
 ]
 
 
@@ -66,9 +69,8 @@ def test_shared_parser_keeps_every_digest(tmp_path, capsys):
     assert build_parser() is build_parser()
     golden = json.loads(GOLDEN.read_text())
     assert {c: payload_digest(c) for c in COMMANDS} == golden
-    with pytest.raises(SystemExit) as info:
-        main(shlex.split("sample 50 2 100 --threads 4"))
-    assert info.value.code == 2 and "--threads" in capsys.readouterr().err
+    assert main(shlex.split("sample 50 2 100 --threads 4")) == 2
+    assert "--threads" in json.loads(capsys.readouterr().out)["error"]["message"]
     out = tmp_path / "verify.json"
     assert main(["verify", "3", "--out", str(out)]) == 0
     assert envelope_digest(out.read_text()) == golden["verify 3"]

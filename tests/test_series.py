@@ -152,6 +152,23 @@ def fraction_product(beta: int, M: int) -> list[Fraction]:
     return acc
 
 
+def comb_exact_coeffs(beta: int, M: int) -> list[Fraction]:
+    """Oracle: the exact mode's integer recurrence one term at a time, each
+    multiplier (C(d+s, d) w)^beta from math.comb, skipping zero terms."""
+    a = [0] * (M + 1)
+    a[0] = 1
+    for i in range(1, M + 1):
+        new = list(a)
+        for j in range(1, M // i + 1):
+            step = i * j
+            w = math.factorial(step) // (math.factorial(j) * i**j) << (step - j)
+            for d in range(M - step + 1):
+                if a[d]:
+                    new[d + step] += a[d] * (math.comb(d + step, d) * w) ** beta
+        a = new
+    return [Fraction(a[n], (2**n * math.factorial(n)) ** beta) for n in range(M + 1)]
+
+
 def fraction_W(beta: int, m: int) -> Fraction:
     """Oracle: one Fraction per partition."""
     return sum((Fraction(1, predicted_intersection_order(lam) ** beta)
@@ -390,6 +407,8 @@ class TestBatchedKernel:
         # these columns exercise the early stop of the log-series recurrence
         (200, (0.3, 0.9, 1.001, 1.5, 2.5, 9.0, 16.0, 40.0)),
         (1000, (0.5, 1.5, 9.0)),
+        # the series and asymptotics commands' degree: one beta runs on 1-D views
+        (20000, (1.2, 1.5)),
     ])
     def test_columns_equal_one_beta_loop(self, M, betas):
         grid = _float_product(betas, M)
@@ -508,6 +527,11 @@ class TestExactIntegerMode:
     @pytest.mark.parametrize("beta, M", [(0, 120), (1, 120), (2, 120), (3, 120)])
     def test_equals_fraction_product(self, beta, M):
         assert _exact_coeffs(beta, M) == fraction_product(beta, M)
+
+    @pytest.mark.parametrize("beta, M", [(0, 200), (1, 200), (2, 200), (3, 200), (4, 200),
+                                         (8, 100), (0, 0), (2, 1), (5, 2)])
+    def test_equals_comb_oracle(self, beta, M):
+        assert _exact_coeffs(beta, M) == comb_exact_coeffs(beta, M)
 
 
 class TestWAtOne:
