@@ -326,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     every later ``main``: do not mutate it.  A parse keeps no state in it."""
     parser = _Parser(prog="coset-ewens", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # so that a stray option is refused in its command's name
 
     def command(name: str, func: Callable, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
@@ -395,8 +396,10 @@ def main(argv: list[str] | None = None) -> int:
     def fail(code: str, exc: Exception) -> list:
         return envelope("error", error={"code": code, "message": str(exc)})
 
+    parser = build_parser()
     try:
-        build_parser().parse_args(argv, args)
+        if extra := parser.parse_known_args(argv, args)[1]:
+            parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except ValueError as exc:  # _Parser.error: the command named, if any, and no parameters
         _write(fail("usage", exc), sys.stdout)
         return EXIT_USAGE

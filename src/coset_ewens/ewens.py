@@ -243,17 +243,20 @@ def _next_index(G: np.ndarray, q: np.ndarray, theta: float) -> np.ndarray:
 
     G[j] = log Gamma(j+1+theta) - log Gamma(1+theta) - log Gamma(j+1) is
     about theta log(j + (1+theta)/2) - log Gamma(1+theta), so
-    exp((q + log Gamma(1+theta))/theta) + (1-theta)/2 guesses j; stepping
+    exp((q + log Gamma(1+theta))/theta) + (1-theta)/2 guesses j (badly for
+    j << theta), raised to q / log(1+theta), a lower bound on the answer as
+    no term log(1 + theta/l) of G exceeds log(1+theta); stepping
     up while G[j] <= q, then down while G[j-1] > q, makes it exact.  Every
     q >= G[m-1] has the answer m, so q is capped just above G[m-1]: exp
     stays finite and q = +inf cannot step past the sentinel G[m] = +inf.
     G[0] <= q keeps j >= 1.
     """
     q = np.minimum(q, G[-2] + theta)
-    g = q + math.lgamma(1.0 + theta)
-    g /= theta
+    g = q / theta  # divided first, and lgamma's argument capped: no theta overflows
+    g += math.lgamma(1.0 + min(theta, 1e300)) / theta
     np.exp(g, out=g)
     g += (1.0 - theta) / 2
+    np.maximum(g, q / math.log1p(theta), out=g)
     j = np.clip(g, 1, G.size - 1, out=g).astype(np.int64)
     while (step := G[j] <= q).any():
         j += step
@@ -273,8 +276,8 @@ def _sample_parts_chunk(m: int, theta: float, seed: int, chunk_index: int,
     Inverse-CDF gap sampling skips from one mark to the next, one gap per
     unfinished lane and round.  The tests check the law against the exact
     Ewens law by total variation."""
-    # a finite cutoff also ends a lane once low + log 2(m - nxt) > cutoff,
-    # low the sum of log 2a over its parts a so far, with its rest m - nxt as
+    # a finite cutoff also ends a lane, dropping its parts, once low + log 2(m - nxt)
+    # > cutoff, low the sum of log 2a over its parts a so far, with its rest m - nxt as
     # one part: every partition that completes it has log f > cutoff, less
     # rounding, as f >= prod 2a over the parts and 2a 2b >= 2(a + b)
     G = _gap_prefix(m, theta)
@@ -282,9 +285,10 @@ def _sample_parts_chunk(m: int, theta: float, seed: int, chunk_index: int,
     active = np.arange(count, dtype=np.int64)
     last = np.zeros(count, dtype=np.int64)  # i - 1 for the last mark i of each lane
     low = np.zeros(count)
+    stopped = np.zeros(count, dtype=bool)
     lanes, sizes = [], []
     rnd = 0
-    # u = 0 gives the level +inf: no further mark, the lane ends at m
+    # u = 0 gives the level +inf: no further mark, the lane ends at m (log 0 stops nothing)
     with np.errstate(divide="ignore"):
         while active.size:
             u = rng.uniform01_array(seed, base + (rnd << _ROUND_SHIFT) + active)
@@ -292,15 +296,14 @@ def _sample_parts_chunk(m: int, theta: float, seed: int, chunk_index: int,
             nxt = _next_index(G, np.subtract(G[last], np.log(u, out=u), out=u), theta)
             lanes.append(active)
             sizes.append(size := nxt - last)
-            keep = nxt < m
             low += np.log(2.0 * size)
-            stop = keep & (low + np.log(2.0 * (m - nxt)) > cutoff)
-            lanes.append(active[stop])
-            sizes.append(m - nxt[stop])
-            keep &= ~stop
+            stop = low + np.log(2.0 * (m - nxt)) > cutoff
+            stopped[active[stop]] = True
+            keep = np.flatnonzero((nxt < m) & ~stop)
             active, last, low = active[keep], nxt[keep], low[keep]
             rnd += 1
-    return np.concatenate(lanes), np.concatenate(sizes)
+    keep = ~stopped[lanes := np.concatenate(lanes)]
+    return lanes[keep], np.concatenate(sizes)[keep]
 
 
 def sample_partition(m: int, theta: float, seed: int) -> Partition:
@@ -347,7 +350,8 @@ def _chunk_hits(m: int, c, seed: int, chunk_index: int, count: int,
     """Samples of one chunk with f <= m^c: log f is summed per lane, and a
     lane within 1e-9 of c log m is decided exactly by the raw c, once per
     class across chunks (``band`` maps ((size, multiplicity), ...) to the
-    decision).  A lane stops drawing once its f is certainly above m^c."""
+    decision).  A lane stops drawing once its f is certainly above m^c, and
+    leaves no parts: only lanes that reached m are sorted."""
     target = float(c) * math.log(m)  # c may be a Decimal
     # a lane stops with log f above the cutoff, less the log sums' rounding:
     # n 2^-53 |target| for n <= |target| / log 2 + 1 parts, and a lane can stop
@@ -359,9 +363,11 @@ def _chunk_hits(m: int, c, seed: int, chunk_index: int, count: int,
     bits = m.bit_length()
     keys, r = np.unique((lanes << bits) | sizes, return_counts=True)
     lanes, sizes = keys >> bits, keys & ((1 << bits) - 1)
-    log_fact = np.array([math.lgamma(k + 1) for k in range(int(r.max()) + 1)])
+    log_fact = np.array([math.lgamma(k + 1) for k in range(int(r.max(initial=0)) + 1)])
     lf = np.bincount(lanes, weights=r * np.log(2.0 * sizes) + log_fact[r],
                      minlength=count)
+    # a stopped lane has no parts, a sum of 0 (a part adds >= log 2): +inf, a miss,
+    lf = np.where(lf > 0, lf, np.inf)  # and float where no lane has parts (int64 bincount)
     near = np.abs(lf - target) < 1e-9
     hits = int(np.count_nonzero(~near & (lf < target)))
     if not near.any():

@@ -486,7 +486,7 @@ class TestSample:
         code, env = run_json(capsys, ["sample", "50", "2", "100", "--threads", "4"])
         assert code == 2
         assert env["error"] == {"code": "usage",
-                                "message": "coset-ewens: unrecognized arguments: --threads 4"}
+                                "message": "coset-ewens sample: unrecognized arguments: --threads 4"}
 
 
 class TestCommonFlags:
@@ -588,7 +588,7 @@ class TestFlagsWhereTheyAct:
         (["frob"], "coset-ewens: argument command: invalid choice: 'frob'"),
         (["table"], "coset-ewens table: the following arguments are required: m"),
         (["table", "x"], "coset-ewens table: argument m: invalid int value: 'x'"),
-        (["table", "3", "--seed", "9"], "coset-ewens: unrecognized arguments: --seed 9"),
+        (["table", "3", "--seed", "9"], "coset-ewens table: unrecognized arguments: --seed 9"),
         (["table", "3", "--out"], "coset-ewens table: argument --out: expected one argument"),
     ])
     def test_argparse_refusal_is_one_usage_envelope(self, capsys, argv, message):
@@ -597,6 +597,24 @@ class TestFlagsWhereTheyAct:
         assert code == 2 and env["error"]["code"] == "usage"
         assert env["error"]["message"].startswith(message)
         assert env["command"] == (argv[0] if argv[:1] == ["table"] else None)
+
+    @pytest.mark.parametrize("argv, stray", [
+        (["classify", "()", "2"], "--seed 1"),
+        (["verify", "2"], "--csv"),
+        (["double-cosets", "3"], "--seed 9"),
+        (["table", "3"], "--alpha-points 4"),
+        (["sample", "10", "2", "100"], "--m-list 5"),
+        (["tails", "5", "2"], "--seed 1"),
+        (["series", "1", "3"], "--t 1"),
+        (["asymptotics", "1.2", "--m-list", "5"], "--beta 0.5"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_misplaced_option_refused_by_its_command(self, capsys, argv, stray):
+        # another command's option: the command's own parser refuses it, so the
+        # message names the command, as a bad value's message does
+        code, env = run_json(capsys, argv + stray.split())
+        assert code == 2 and env["command"] == argv[0] and "payload" not in env
+        assert env["error"] == {"code": "usage",
+                                "message": f"coset-ewens {argv[0]}: unrecognized arguments: {stray}"}
 
     def test_refused_argv_answers_on_stdout_not_out(self, capsys, tmp_path):
         # --out is not read from an argv that argparse refuses

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from decimal import Decimal
@@ -750,7 +751,7 @@ class TestGapPrefix:
             G[3] = 0.0
 
 
-@pytest.mark.parametrize("theta", [0.01, 0.1, 0.5, 1, 3, 10])
+@pytest.mark.parametrize("theta", [0.01, 0.1, 0.5, 1, 3, 10, 3e305, 1.7e308, sys.float_info.max])
 @pytest.mark.parametrize("m", [1, 2, 16, 1000, 10**5])
 def test_next_index_matches_searchsorted(theta, m):
     """Oracle: the binary search the guessed index replaced, on the
@@ -823,14 +824,24 @@ def test_chunk_hits_match_per_lane_oracle(m, c):
 
 # 16, 1.25: the class {16} has f = 32 = 16^1.25 exactly, so about a quarter
 # of the samples sit in the guard band (decided on integers); 4/3 as a float
-# is decided by float logs with Decimal escalation
-@pytest.mark.parametrize("m, c", [(16, 1.25), (8, 1.3333333333333333), (1000, 3), (30, 2.5)])
+# is decided by float logs with Decimal escalation.  At (10^5, 2) most lanes
+# stop drawing early and leave no parts; at (50, 0) and (10^6, -1) every lane
+# does but those that drew m whole; m = 1 never stops one
+@pytest.mark.parametrize("m, c", [(16, 1.25), (8, 1.3333333333333333), (1000, 3), (30, 2.5),
+                                  (10**5, 2), (1, 1.0), (50, 0), (10**6, -1)])
 def test_chunk_hits_match_exact_count(m, c):
     band: dict = {}
     for chunk in (0, 3):
         want = sum(f_leq_threshold(predicted_intersection_order(Partition.from_parts(p)), m, c)
                    for p in _reference_parts_chunk(m, 0.5, 2024, chunk, 4096))
         assert _chunk_hits(m, c, 2024, chunk, 4096, band) == want
+
+
+def test_chunk_with_no_parts_has_no_hits():
+    # c < 0 stops every lane that did not draw m whole, here all ten: no parts
+    # reach the sum, whose bincount of nothing is int64, and no max of r
+    assert _sample_parts_chunk(10**6, 0.5, 1, 0, 10, -math.log(10**6))[0].size == 0
+    assert good_probability_mc(10**6, -1, 10, 1).hits == 0
 
 
 def test_guard_band_decided_once_per_class(monkeypatch):
@@ -851,16 +862,15 @@ def test_guard_band_decided_once_per_class(monkeypatch):
 @pytest.mark.parametrize("m", [1, 2, 37, 1000])
 @pytest.mark.parametrize("cutoff", [-math.inf, 0.0, 3.0, 7.5, 20.0])
 def test_early_stop_closes_a_lane_with_its_rest(m, cutoff):
-    # a stopped lane is the unpruned lane's first k parts and then the rest
-    # of m, and its prod 2a is above e^cutoff; every other lane is unchanged
+    # a lane is closed, leaving no parts, once some prefix of its parts, with
+    # the rest of m as one more part, has prod 2a above e^cutoff: a lane with
+    # such a prefix is dropped, and every other lane is the uncut lane
     got = lane_parts(*_sample_parts_chunk(m, 0.5, 5, 3, 2048, cutoff), 2048)
     full = lane_parts(*_sample_parts_chunk(m, 0.5, 5, 3, 2048), 2048)
-    assert [sum(p) for p in got] == [m] * 2048
     for parts, want in zip(got, full):
-        if parts != want:
-            k = len(parts) - 1
-            assert parts[:k] == want[:k] and parts[k] == sum(want[k:])
-            assert math.fsum(math.log(2 * a) for a in parts) > cutoff
+        closed = any(math.fsum(math.log(2 * a) for a in want[:k]) + math.log(2 * sum(want[k:]))
+                     > cutoff for k in range(1, len(want)))
+        assert parts == ([] if closed else want)
 
 
 def count_draws(monkeypatch) -> list[int]:
@@ -891,6 +901,22 @@ def test_early_stop_work_at_1e5_2(monkeypatch):
     for chunk in (0, 1):
         _sample_parts_chunk(10**5, 0.5, 3, chunk, 4096)
     assert pruned <= 0.6 * sum(draws)
+
+
+def test_early_stop_sorts_few_keys_at_1e5_2(monkeypatch):
+    # a lane the cutoff stops leaves no parts, so only lanes that drew to m
+    # reach the sort by (lane, size)
+    keys, sample = [], ewens._sample_parts_chunk
+
+    def counting(*args):
+        lanes, sizes = sample(*args)
+        keys.append(lanes.size)
+        return lanes, sizes
+
+    monkeypatch.setattr(ewens, "_sample_parts_chunk", counting)
+    good_probability_mc(10**5, 2, 8192, 3)
+    uncut = sum(sample(10**5, 0.5, 3, chunk, 4096)[0].size for chunk in (0, 1))
+    assert len(keys) == 2 and sum(keys) <= 0.1 * uncut
 
 
 class TestGoodProbabilityMC:

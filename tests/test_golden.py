@@ -1,9 +1,10 @@
 """Golden payloads: the sha256 of each command's payload, serialized as
 ``json.dumps(payload, sort_keys=True)``, must match the digest recorded in
 ``golden_payloads.json``.  A refactor that changes any payload byte fails
-here.  The three ``sample`` commands cover the float hit test, the
-exact-integer guard band (c = 5/4) and the Decimal guard band (c a float
-that is not a small-denominator rational).
+here.  The four ``sample`` commands cover the float hit test, the
+exact-integer guard band (c = 5/4), the Decimal guard band (c a float
+that is not a small-denominator rational) and a chunk in which every lane
+stops drawing early (c < 0 at m = 10^6).
 
 Re-record (only for a deliberate payload change):
 ``PYTHONPATH=src python tests/test_golden.py``
@@ -24,6 +25,7 @@ COMMANDS = [
     "sample 1000 3 10000 --seed 7",
     "sample 16 1.25 20000 --seed 3",
     "sample 8 1.3333333333333333 5000 --seed 5",
+    "sample 1000000 -1 10",
     "table 6",
     "double-cosets 6",
     "table 20",
